@@ -1,8 +1,9 @@
 """Command-line front end: solve, verify, sweep, export-kernel.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or usage
-error, 3 numerical failure. Configuration comes from flags, from a JSON
-config file, or both; flags override file values.
+error, 3 numerical failure or any other unexpected error. Configuration
+comes from flags, from a JSON config file, or both; flags override file
+values.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -421,6 +423,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception as exc:  # e.g. MemoryError; exit 1 is reserved for failed checks
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_NUMERICAL
 
 

@@ -140,7 +140,12 @@ def build_graded(s: Spectrum, w, truncate: int | None = None) -> OperatorKernel:
         raise NonUnimodularWeightError(
             f"got {len(w)} weights for {block.shape[1]} modes"
         )
-    action = (block * w.values) @ block.T
+    if np.iscomplexobj(w.values):
+        # block is real: two real GEMMs instead of one complex @ real product
+        action = ((block * w.values.real) @ block.T).astype(complex)
+        action.imag = (block * w.values.imag) @ block.T
+    else:
+        action = (block * w.values) @ block.T
     return OperatorKernel(grid=s.grid, action=action, truncated=truncate is not None)
 
 

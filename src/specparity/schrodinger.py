@@ -62,12 +62,29 @@ class HamiltonianMatrix:
         )
 
     def matvec(self, f) -> np.ndarray:
+        """T f through the bands, for an (n,) vector or an (n, k) block of columns."""
         f = np.asarray(f)
-        if f.shape != (self.n,):
-            raise GridMismatchError(f"vector has shape {f.shape}, expected ({self.n},)")
-        out = self.diag * f
-        out[:-1] = out[:-1] + self.offdiag * f[1:]
-        out[1:] = out[1:] + self.offdiag * f[:-1]
+        if f.ndim not in (1, 2) or f.shape[0] != self.n:
+            raise GridMismatchError(
+                f"operand has shape {f.shape}, expected ({self.n},) or ({self.n}, k)"
+            )
+        rows = (slice(None),) + (np.newaxis,) * (f.ndim - 1)
+        diag, offdiag = self.diag[rows], self.offdiag[rows]
+        out = diag * f
+        out[:-1] += offdiag * f[1:]
+        out[1:] += offdiag * f[:-1]
+        return out
+
+    def subtract_from(self, a: np.ndarray) -> np.ndarray:
+        """a - T for a dense (n, n) array, subtracting the three bands only."""
+        if a.shape != (self.n, self.n):
+            raise GridMismatchError(f"array has shape {a.shape}, expected ({self.n}, {self.n})")
+        out = np.array(a, order="C")
+        flat = out.reshape(-1)  # a view: diagonals are strided slices of it
+        step = self.n + 1
+        flat[::step] -= self.diag
+        flat[1::step] -= self.offdiag
+        flat[self.n::step] -= self.offdiag
         return out
 
 
@@ -200,9 +217,7 @@ def _adapt_reflection(hm: HamiltonianMatrix, energies: np.ndarray, modes: np.nda
             keep = keep / np.linalg.norm(keep, axis=0)
             if slots.size > 1:
                 # order sector members by Rayleigh quotient for determinism
-                tv = hm.diag[:, np.newaxis] * keep
-                tv[:-1] += hm.offdiag[:, np.newaxis] * keep[1:]
-                tv[1:] += hm.offdiag[:, np.newaxis] * keep[:-1]
+                tv = hm.matvec(keep)
                 keep = keep[:, np.argsort(np.einsum("ij,ij->j", keep, tv))]
             modes[:, slots] = keep
     return modes

@@ -83,6 +83,7 @@ class VerificationReport:
     checks: tuple
     passed: bool
     warnings: tuple = ()
+    timings: tuple = ()  # (stage name, seconds) pairs, in pipeline order
 
     def __post_init__(self):
         for c in self.checks:
@@ -112,10 +113,12 @@ class VerificationReport:
         }
         if self.warnings:
             doc["warnings"] = list(self.warnings)
+        if include_seconds and self.timings:
+            doc["timings"] = dict(self.timings)
         return doc
 
     def to_json(self, include_seconds: bool = True) -> str:
-        """JSON document; the ``seconds`` fields are the only unstable part."""
+        """JSON document; ``seconds`` and ``timings`` are the only unstable parts."""
         return dumps(self.to_mapping(include_seconds))
 
 
@@ -129,17 +132,54 @@ def check_hermiticity(k: OperatorKernel) -> float:
 
 
 def spectral_hermiticity_gap(k: OperatorKernel) -> float:
-    """Spectral norm of A - A^dagger (reported for non-Hermitian gradings)."""
-    anti = k.action - k.action.conj().T
-    # anti-Hermitian, so the eigenvalues of anti/1j are real
-    return float(np.abs(np.linalg.eigvalsh(anti / 1j)).max())
+    """Spectral norm of A - A^dagger (reported for non-Hermitian gradings).
+
+    (A - A^dagger)/i = S - iK is Hermitian, with S = Im(A - A^dagger)
+    symmetric and K = Re(A - A^dagger) antisymmetric. Its real embedding
+    [[S, K], [-K, S]] is symmetric with the same eigenvalues, each doubled,
+    so one Lanczos run for the largest-magnitude eigenvalue gives the exact
+    norm of the full matrix without a dense complex eigensolve.
+    """
+    # imported here, not at module top, so CLI start-up does not pay for it
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    a = k.action
+    n = k.n
+    s = a.imag + a.imag.T
+    anti = a.real - a.real.T  # Re A need not be symmetric: keep K
+    if not (s.any() or anti.any()):
+        return 0.0  # exactly Hermitian; Lanczos cannot start on a zero operator
+
+    def embedded(v):
+        x, y = v[:n], v[n:]
+        return np.concatenate([s @ x + anti @ y, s @ y - anti @ x])
+
+    op = LinearOperator((2 * n, 2 * n), matvec=embedded, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(2 * n)
+    vals = eigsh(op, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
+    return float(np.abs(vals).max())
 
 
 def check_commutator(k: OperatorKernel, hm: HamiltonianMatrix) -> float:
-    """Relative commutator ||A T - T A||_max / ||T||_max."""
+    """Relative commutator ||A T - T A||_max / ||T||_max.
+
+    T is applied through its bands: T A column by column, and
+    A T = (T A^T)^T since T is symmetric. T is real, so a complex A is
+    taken one real part at a time, which keeps the temporaries real.
+    """
     require_same_grid(k.grid, hm.grid)
-    t = hm.to_dense()
-    return _max_abs(k.action @ t - t @ k.action) / hm.norm_max
+
+    def commutator(part: np.ndarray) -> np.ndarray:
+        out = hm.matvec(part.T).T
+        out -= hm.matvec(part)
+        return out
+
+    a = k.action
+    if not np.iscomplexobj(a):
+        return _max_abs(commutator(a)) / hm.norm_max
+    squared = commutator(a.real) ** 2  # |C|^2 = (Re C)^2 + (Im C)^2
+    squared += commutator(a.imag) ** 2
+    return float(np.sqrt(squared.max())) / hm.norm_max
 
 
 def _require_full(k: OperatorKernel, what: str) -> None:
@@ -200,12 +240,20 @@ def check_conservation(p: OperatorKernel, s: Spectrum, psi0, times) -> float:
     norm = np.linalg.norm(psi0)
     if abs(norm - 1.0) > NORM_TOL:
         raise UnnormalizedStateError(f"state norm {norm!r} differs from 1")
-    coeff = s.modes.T @ psi0
-    values = []
-    for t in np.asarray(times, dtype=float):
-        psi_t = s.modes @ (coeff * np.exp(-1j * s.energies * t))
-        values.append(np.vdot(psi_t, p.action @ psi_t))
-    values = np.asarray(values)
+    # One (n, len(times)) block holds every psi(t). U is real, so each
+    # product with it runs as two real GEMMs instead of a complex one.
+    u = s.modes
+    coeff = u.T @ psi0.real + 1j * (u.T @ psi0.imag)
+    phased = coeff[:, np.newaxis] * np.exp(
+        -1j * np.multiply.outer(s.energies, np.asarray(times, dtype=float))
+    )
+    psi = u @ phased.real + 1j * (u @ phased.imag)
+    a = p.action
+    if np.iscomplexobj(a):
+        a_psi = a @ psi
+    else:
+        a_psi = a @ psi.real + 1j * (a @ psi.imag)
+    values = np.einsum("ij,ij->j", psi.conj(), a_psi)
     return float(np.abs(values - values[0]).max())
 
 
@@ -234,7 +282,8 @@ def run_suite(
 
     ``spectrum`` may be supplied to bypass the solve stage, which is how
     negative controls (deliberately corrupted bases) are driven through the
-    same checks. Check order in the report is alphabetical by name.
+    same checks; the report's stage timings then have no ``solve`` entry.
+    Check order in the report is alphabetical by name.
     """
     tol = dict(DEFAULT_TOLERANCES)
     for name, value in (tolerances or {}).items():
@@ -246,15 +295,23 @@ def run_suite(
     if conservation_times is None:
         conservation_times = np.linspace(0.0, 10.0, 101)
 
-    hm = _stage("assemble", assemble, v, grid)
+    timings = []
+
+    def timed_stage(name, fn, *args):
+        t0 = time.perf_counter()
+        out = _stage(name, fn, *args)
+        timings.append((name, time.perf_counter() - t0))
+        return out
+
+    hm = timed_stage("assemble", assemble, v, grid)
     if spectrum is None:
-        spectrum = _stage("solve", solve, hm)
-    parity = _stage("build_parity", build_parity, spectrum)
-    triparity = _stage("build_triparity", build_triparity, spectrum, omega_branch)
-    recon = _stage("reconstruct_hamiltonian", reconstruct_hamiltonian, spectrum)
+        spectrum = timed_stage("solve", solve, hm)
+    parity = timed_stage("build_parity", build_parity, spectrum)
+    triparity = timed_stage("build_triparity", build_triparity, spectrum, omega_branch)
+    recon = timed_stage("reconstruct_hamiltonian", reconstruct_hamiltonian, spectrum)
 
     def ham_reconstruction() -> float:
-        return _max_abs(recon.action - hm.to_dense()) / hm.norm_max
+        return _max_abs(hm.subtract_from(recon.action)) / hm.norm_max
 
     def node_audit() -> float:
         worst = 0
@@ -333,6 +390,7 @@ def run_suite(
         checks=tuple(results),
         passed=all(c.passed for c in results),
         warnings=tuple(warnings),
+        timings=tuple(timings),
     )
 
 

@@ -74,6 +74,21 @@ def test_usage_error_exits_2(tmp_path):
     assert run_cli(base + ["--poly", "0,0,1"]) == 2  # both potential flags
 
 
+@pytest.mark.parametrize("command", ["solve", "export-kernel"])
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch, command):
+    # exit 1 means "verification failed"; an unexpected error must not look like it
+    def out_of_memory(hm):
+        raise MemoryError("simulated allocation failure")
+
+    monkeypatch.setattr("specparity.cli.solve", out_of_memory)
+    code = run_cli(
+        [command, "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--n", 49, "--out", tmp_path]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: MemoryError") and "simulated allocation failure" in err
+
+
 def test_truncate_full_keyword(tmp_path):
     code = run_cli(
         ["export-kernel", "--potential", "harmonic", "--xmin", -8, "--xmax", 8,
@@ -186,6 +201,7 @@ def test_verify_reports_are_reproducible(tmp_path):
         doc = json.loads(path.read_text())
         for entry in doc["checks"]:
             entry.pop("seconds")  # documented-unstable field
+        doc.pop("timings")  # documented-unstable block
         return json.dumps(doc, sort_keys=True)
 
     assert stable(out_a / "report.json") == stable(out_b / "report.json")

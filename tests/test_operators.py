@@ -65,6 +65,14 @@ def test_triparity_nonhermiticity_gap_is_sqrt3(qc_199, box_2x2):
             assert sp.spectral_hermiticity_gap(q) == pytest.approx(np.sqrt(3.0), abs=1e-10)
 
 
+def test_triparity_matches_complex_times_real_product(qc_199):
+    u = qc_199.modes
+    for branch in (+1, -1):
+        w = sp.GradingWeights.cube_roots(199, branch).values
+        oracle = (u * w) @ u.T  # complex @ real, as one complex GEMM
+        assert np.abs(sp.build_triparity(qc_199, branch).action - oracle).max() <= 1e-14
+
+
 def test_triparity_rejects_bad_branch(qc_199):
     with pytest.raises(sp.NonUnimodularWeightError):
         sp.build_triparity(qc_199, branch=2)
@@ -136,6 +144,32 @@ def test_reconstruction_matches_assembled_matrix(harmonic_199, qc_199):
         hm = sp.assemble(sp.named(name), s.grid)
         recon = sp.reconstruct_hamiltonian(s)
         assert np.abs(recon.action - hm.to_dense()).max() <= 1e-8 * hm.norm_max
+
+
+def test_matvec_on_a_block_matches_dense(qc_199):
+    hm = sp.assemble(sp.named("quartic_cubic"), qc_199.grid)
+    rng = np.random.default_rng(31)
+    real_block = rng.standard_normal((199, 7))
+    complex_block = real_block + 1j * rng.standard_normal((199, 7))
+    for block in (real_block, complex_block, complex_block.T.copy().T):
+        np.testing.assert_allclose(
+            hm.matvec(block), hm.to_dense() @ block, rtol=1e-13, atol=1e-10
+        )
+    # columns of a block go through exactly the vector path
+    assert np.array_equal(hm.matvec(real_block)[:, 3], hm.matvec(real_block[:, 3]))
+    with pytest.raises(sp.GridMismatchError):
+        hm.matvec(np.ones((198, 7)))
+    with pytest.raises(sp.GridMismatchError):
+        hm.matvec(np.ones((199, 7, 2)))
+
+
+def test_band_subtraction_matches_dense(qc_199):
+    hm = sp.assemble(sp.named("quartic_cubic"), qc_199.grid)
+    recon = sp.reconstruct_hamiltonian(qc_199).action
+    assert np.array_equal(hm.subtract_from(recon), recon - hm.to_dense())
+    assert np.array_equal(hm.subtract_from(hm.to_dense()), np.zeros((199, 199)))
+    with pytest.raises(sp.GridMismatchError):
+        hm.subtract_from(recon[:, :198])
 
 
 def test_reconstruction_of_hand_solved_2x2(box_2x2):

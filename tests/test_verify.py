@@ -21,10 +21,49 @@ def test_hermiticity_examples(qc_199):
     assert sp.check_hermiticity(ident) == 0.0
 
 
+def dense_commutator(k, hm):
+    """Oracle: ||A T - T A||_max / ||T||_max with T built densely."""
+    t = hm.to_dense()
+    return np.abs(k.action @ t - t @ k.action).max() / hm.norm_max
+
+
+def test_hermiticity_gap_matches_dense_eigvalsh_with_nonsymmetric_real_part():
+    grid = sp.make_grid(-1, 1, 80)
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80))
+    assert np.abs(a.real - a.real.T).max() > 0.1  # K = Re(A - A^dagger) is not small
+    dense = np.abs(np.linalg.eigvalsh((a - a.conj().T) / 1j)).max()
+    gap = sp.spectral_hermiticity_gap(sp.OperatorKernel(grid=grid, action=a))
+    assert gap == pytest.approx(dense, abs=1e-12)
+    # the symmetric part alone has a different norm, so dropping K is caught
+    s_only = np.abs(np.linalg.eigvalsh(a.imag + a.imag.T)).max()
+    assert abs(s_only - dense) > 1e-3
+
+
+def test_hermiticity_gap_of_hermitian_kernels_is_zero(qc_199):
+    ident = sp.OperatorKernel(grid=qc_199.grid, action=np.eye(199))
+    assert sp.spectral_hermiticity_gap(ident) == 0.0
+    assert sp.spectral_hermiticity_gap(sp.build_parity(qc_199)) <= 1e-12
+
+
 def test_commutator_examples(qc_199):
     hm = sp.assemble(sp.named("quartic_cubic"), qc_199.grid)
     assert sp.check_commutator(sp.build_parity(qc_199), hm) <= 1e-10
     assert sp.check_commutator(sp.build_triparity(qc_199), hm) <= 1e-10
+
+
+def test_banded_commutator_matches_dense_form(qc_199):
+    hm = sp.assemble(sp.named("quartic_cubic"), qc_199.grid)
+    rng = np.random.default_rng(23)
+    random_kernel = sp.OperatorKernel(
+        grid=qc_199.grid,
+        action=rng.standard_normal((199, 199)) + 1j * rng.standard_normal((199, 199)),
+    )
+    for k in (sp.build_parity(qc_199), sp.build_triparity(qc_199), random_kernel):
+        banded = sp.check_commutator(k, hm)
+        # both forms are relative to ||T||_max, so 1e-13 here is 1e-13 * ||T|| absolute
+        assert abs(banded - dense_commutator(k, hm)) <= 1e-13
+    assert sp.check_commutator(random_kernel, hm) > 0.1
 
 
 def test_commutator_detects_basis_mismatch():
@@ -32,8 +71,10 @@ def test_commutator_detects_basis_mismatch():
     grid = sp.make_grid(-8, 8, 199)
     harmonic_spec = sp.solve(sp.assemble(sp.named("harmonic"), grid))
     foreign = sp.assemble(sp.named("quartic_cubic"), grid)
-    resid = sp.check_commutator(sp.build_parity(harmonic_spec), foreign)
+    parity = sp.build_parity(harmonic_spec)
+    resid = sp.check_commutator(parity, foreign)
     assert resid > 1e-6
+    assert abs(resid - dense_commutator(parity, foreign)) <= 1e-13
 
 
 def test_involution_examples(qc_199):
@@ -135,6 +176,27 @@ def test_conservation_gaussian_against_dense_evolution_oracle(qc_199):
     assert drift == pytest.approx(oracle_drift, abs=1e-12)
 
 
+def test_conservation_of_non_conserved_operators_matches_loop_oracle(qc_199):
+    # operators that do not commute with H must drift, by exactly the amount
+    # a per-time loop of dense evolutions measures; covers real and complex A
+    s = qc_199
+    rng = np.random.default_rng(41)
+    g = rng.standard_normal((199, 199)) + 1j * rng.standard_normal((199, 199))
+    kernels = (sp.reflection_action(s.grid), sp.OperatorKernel(grid=s.grid, action=g))
+    psi0 = np.exp(-((s.grid.points - 1.0) ** 2) / 2.0)
+    psi0 = psi0 / np.linalg.norm(psi0)
+    times = np.linspace(0.0, 10.0, 101)
+    for k in kernels:
+        expectations = []
+        for t in times:
+            psi_t = (s.modes * np.exp(-1j * s.energies * t)) @ (s.modes.T @ psi0)
+            expectations.append(np.vdot(psi_t, k.action @ psi_t))
+        oracle = np.abs(np.asarray(expectations) - expectations[0]).max()
+        drift = sp.check_conservation(k, s, psi0, times)
+        assert oracle > 1e-3
+        assert drift == pytest.approx(oracle, abs=1e-12)
+
+
 def test_conservation_trivial_grading_norm(qc_199):
     ident = sp.build_graded(qc_199, sp.GradingWeights.identity(199))
     rng = np.random.default_rng(13)
@@ -214,7 +276,7 @@ def test_stage_failures_carry_the_stage_name(qc_199):
 
 def test_report_schema_and_serialization(qc_suite):
     doc = json.loads(qc_suite.to_json())
-    assert set(doc) == {"potential", "grid", "checks", "pass"}
+    assert set(doc) == {"potential", "grid", "checks", "pass", "timings"}
     assert doc["potential"] == {"named": "quartic_cubic"}
     assert set(doc["grid"]) == {"x_min", "x_max", "n", "h"}
     assert doc["grid"]["n"] == 199
@@ -236,3 +298,12 @@ def test_report_invariants(qc_suite):
         if c.residual is not None:
             assert np.isfinite(c.residual) and c.residual >= 0
         assert c.seconds >= 0
+
+
+def test_report_carries_stage_timings(qc_suite):
+    doc = json.loads(qc_suite.to_json())
+    stages = ["assemble", "solve", "build_parity", "build_triparity", "reconstruct_hamiltonian"]
+    assert list(doc["timings"]) == stages
+    assert all(seconds >= 0.0 for seconds in doc["timings"].values())
+    # timings are unstable like the per-check seconds, so they leave together
+    assert "timings" not in json.loads(qc_suite.to_json(include_seconds=False))
