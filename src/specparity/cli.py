@@ -25,7 +25,7 @@ from .operators import build_parity, build_triparity, write_kernel_csv, write_ke
 from .potentials import NAMED_POTENTIALS, Potential, is_even, named, polynomial
 from .schrodinger import Spectrum, assemble, solve
 from .serial import fmt_float
-from .verify import DEFAULT_TOLERANCES, run_suite
+from .verify import DEFAULT_TOLERANCES, reflection_defect, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -303,15 +303,13 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             else:
                 row[f"order{k}"] = None
         if even_potential:
-            parity = build_parity(spectrum)
-            j = np.eye(grid.n)[::-1]
-            row["reflection_residual"] = float(np.abs(parity.action - j).max())
+            row["reflection_residual"] = reflection_defect(build_parity(spectrum))
         else:
             row["reflection_residual"] = None
         if cfg.truncate is not None:
             trunc = build_parity(spectrum, truncate=cfg.truncate)
             if even_potential:
-                resid = float(np.abs(trunc.action - np.eye(grid.n)[::-1]).max())
+                resid = reflection_defect(trunc)
             else:
                 resid = float(np.abs(trunc.action - build_parity(spectrum).action).max())
             row["trunc_m"] = cfg.truncate

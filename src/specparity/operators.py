@@ -25,7 +25,7 @@ from .errors import (
 )
 from .grids import Grid, require_same_grid
 from .schrodinger import Spectrum
-from .serial import fmt_value
+from .serial import fmt_rows
 
 UNIT_MODULUS_TOL = 1e-12
 
@@ -59,6 +59,14 @@ class OperatorKernel:
     def kernel(self) -> np.ndarray:
         """Continuum-style kernel values K(x_i, x_j) = action / h."""
         return self.action / self.grid.h
+
+    def kernel_rows(self):
+        """The rows of ``kernel`` one at a time, bitwise equal to it.
+
+        Writers stream these, so no n x n kernel copy is held besides A.
+        """
+        h = self.grid.h
+        return (row / h for row in self.action)
 
 
 @dataclass(frozen=True)
@@ -209,16 +217,12 @@ def adjoint(k: OperatorKernel) -> OperatorKernel:
 
 def write_kernel_csv(k: OperatorKernel, path) -> None:
     """Kernel values K(x_i, x_j) as CSV with a header row of grid points."""
-    kern = k.kernel
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(fmt_value(x) for x in k.grid.points) + "\n")
-        for row in kern:
-            fh.write(",".join(fmt_value(z) for z in row) + "\n")
+        fh.writelines(fmt_rows([k.grid.points], ","))
+        fh.writelines(fmt_rows(k.kernel_rows(), ","))
 
 
 def write_kernel_txt(k: OperatorKernel, path) -> None:
     """Plain textual dump, one kernel row per line, for regression baselines."""
-    kern = k.kernel
     with open(path, "w", encoding="ascii") as fh:
-        for row in kern:
-            fh.write(" ".join(fmt_value(z) for z in row) + "\n")
+        fh.writelines(fmt_rows(k.kernel_rows(), " "))

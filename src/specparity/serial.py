@@ -1,8 +1,10 @@
 """Deterministic text serialization.
 
-Every float written by this package goes through ``fmt_float`` (17
-significant digits, round-trip exact), so identical runs produce
-byte-identical CSV and JSON artifacts.
+Every float written by this package is formatted as 17 significant digits
+(round-trip exact), so identical runs produce byte-identical CSV and JSON
+artifacts. ``fmt_float`` carries that contract for single values and
+``fmt_rows`` for whole tables, one row per line; both reject non-finite
+values.
 """
 from __future__ import annotations
 
@@ -18,16 +20,32 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def fmt_complex(z: complex) -> str:
-    z = complex(z)
-    sign = "+" if (z.imag >= 0 or math.isnan(z.imag)) else "-"
-    return f"{fmt_float(z.real)}{sign}{fmt_float(abs(z.imag))}j"
+def fmt_rows(rows, sep: str):
+    """Lines of 17g text, one per row, for rows of equal length.
+
+    ``rows`` is any iterable of real or complex 1-D arrays: a 2-D array, or
+    a generator that makes each row on demand. Complex entries are written
+    ``re+imj`` / ``re-imj``; an imaginary part of -0.0 gets + 0.0 first, so
+    it writes as ``+0j``. Each row is checked before it is formatted, and a
+    non-finite value raises ``fmt_float``'s ValueError. Rows are converted
+    one at a time, so the table is never held as Python floats or strings.
+    """
+    line = None
+    for row in rows:
+        is_complex = row.dtype.kind == "c"
+        for part in (row.real, row.imag) if is_complex else (row,):
+            for x in (part.min(), part.max()):
+                fmt_float(x)  # raises on inf; min and max propagate nan
+        if line is None:
+            cell = "%.17g%+.17gj" if is_complex else "%.17g"
+            line = sep.join([cell] * row.size) + "\n"
+        yield line % tuple(_re_im_pairs(row) if is_complex else row.tolist())
 
 
-def fmt_value(v) -> str:
-    if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real):
-        return fmt_complex(v)
-    return fmt_float(v)
+def _re_im_pairs(row) -> list:
+    pairs = row.copy().view(row.real.dtype)  # re0, im0, re1, im1, ...
+    pairs[1::2] += 0.0
+    return pairs.tolist()
 
 
 def _render(obj, indent: int, level: int) -> str:

@@ -247,3 +247,85 @@ def test_complex_kernel_dump_round_trip(tmp_path, box_2x2):
     lines = path.read_text().strip().splitlines()
     rows = np.array([[complex(tok) for tok in line.split(",")] for line in lines[1:]])
     np.testing.assert_array_equal(rows, q.kernel)
+
+
+def _oracle_17g(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _oracle_cell(z) -> str:
+    if isinstance(z, complex):
+        sign = "+" if z.imag >= 0 else "-"  # -0.0 >= 0, so -0.0j writes as +0j
+        return _oracle_17g(z.real) + sign + _oracle_17g(abs(z.imag)) + "j"
+    return _oracle_17g(z)
+
+
+def _oracle_lines(table, sep):
+    return "".join(sep.join(_oracle_cell(z) for z in row) + "\n" for row in table.tolist())
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e16, 1e17, -1e17, 0.1, -2.5, 1.0 / 3.0]
+
+
+def _edge_kernels():
+    grid = sp.make_grid(0, 13, 12)  # h = 1 exactly, so the kernel equals the action
+    assert grid.h == 1.0
+    vals = np.array(EDGE_VALUES)
+    real = np.array([np.roll(vals, k) for k in range(12)])
+    cplx = real + 1j * real[::-1]
+    cplx[0, :3] = [complex(1.0, -0.0), complex(-0.0, -0.0), complex(2.0, -5e-324)]
+    return [sp.OperatorKernel(grid=grid, action=real), sp.OperatorKernel(grid=grid, action=cplx)]
+
+
+@pytest.mark.parametrize("which", ["real", "complex", "parity", "triparity"])
+def test_kernel_writers_match_the_17g_oracle_byte_for_byte(tmp_path, qc_199, which):
+    kernels = {
+        "real": _edge_kernels()[0],
+        "complex": _edge_kernels()[1],
+        "parity": sp.build_parity(qc_199),
+        "triparity": sp.build_triparity(qc_199),
+    }
+    k = kernels[which]
+    sp.write_kernel_csv(k, tmp_path / "k.csv")
+    sp.write_kernel_txt(k, tmp_path / "k.txt")
+    header = ",".join(_oracle_17g(x) for x in k.grid.points) + "\n"
+    assert (tmp_path / "k.csv").read_bytes() == (header + _oracle_lines(k.kernel, ",")).encode()
+    assert (tmp_path / "k.txt").read_bytes() == _oracle_lines(k.kernel, " ").encode()
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["real", "complex"])
+def test_kernel_rows_are_the_kernel_bitwise(index):
+    k = _edge_kernels()[index]
+    assert np.stack(list(k.kernel_rows())).tobytes() == k.kernel.tobytes()
+
+
+def test_complex_edge_cells_are_written_with_explicit_signs(tmp_path):
+    k = _edge_kernels()[1]
+    assert np.signbit(k.kernel[0, 0].imag) and np.signbit(k.kernel[0, 1].real)
+    sp.write_kernel_txt(k, tmp_path / "k.txt")
+    first = (tmp_path / "k.txt").read_text().splitlines()[0].split()
+    assert first[:3] == ["1+0j", "-0+0j", "2-4.9406564584124654e-324j"]
+
+
+def test_row_formatter_leaves_its_input_untouched():
+    from specparity.serial import fmt_rows
+
+    table = _edge_kernels()[1].action
+    before = table.tobytes()
+    assert len(list(fmt_rows(table, ","))) == 12
+    assert len(list(fmt_rows(np.asfortranarray(table), ","))) == 12
+    assert table.tobytes() == before  # -0.0 imaginary parts keep their sign
+
+
+@pytest.mark.parametrize("scale", [1e307, 1e307 + 1e307j])
+def test_kernel_writers_reject_a_kernel_that_overflows(tmp_path, scale):
+    grid = sp.make_grid(-1, 1, 99)
+    assert grid.h < 1
+    k = sp.OperatorKernel(grid=grid, action=np.full((99, 99), scale))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(k.kernel).all()
+        with pytest.raises(ValueError, match="non-finite"):
+            sp.write_kernel_csv(k, tmp_path / "k.csv")
+        with pytest.raises(ValueError, match="non-finite"):
+            sp.write_kernel_txt(k, tmp_path / "k.txt")

@@ -143,6 +143,71 @@ def test_reflection_reduction_examples(harmonic_799, quartic_799, qc_199):
     assert marker is None
 
 
+def _dense_alternation(k, s, w):
+    return np.linalg.norm(k.action @ s.modes - s.modes * w.values, axis=0).max()
+
+
+def test_alternation_of_complex_kernels_matches_the_dense_form(qc_199):
+    w = sp.GradingWeights.cube_roots(199)
+    q = sp.build_triparity(qc_199)
+    assert abs(sp.check_alternation(q, qc_199, w) - _dense_alternation(q, qc_199, w)) <= 1e-15
+    rng = np.random.default_rng(3)
+    noise = sp.OperatorKernel(
+        grid=qc_199.grid,
+        action=rng.standard_normal((199, 199)) + 1j * rng.standard_normal((199, 199)),
+    )
+    for weights in (w, sp.GradingWeights.alternating(199)):
+        resid = sp.check_alternation(noise, qc_199, weights)
+        assert resid > 1.0
+        assert resid == pytest.approx(_dense_alternation(noise, qc_199, weights), rel=1e-12)
+
+
+def _identity_kernels(s):
+    return {
+        "parity": sp.build_parity(s),
+        "triparity": sp.build_triparity(s),
+        "reflection": sp.reflection_action(s.grid),
+    }
+
+
+@pytest.mark.parametrize("which", ["parity", "triparity", "reflection"])
+def test_identity_checks_equal_the_dense_formulas(harmonic_199, which):
+    k = _identity_kernels(harmonic_199)[which]
+    a, eye = k.action, np.eye(199)
+    assert sp.check_involution(k) == np.abs(a @ a - eye).max()
+    assert sp.check_cube(k) == np.abs(a @ a @ a - eye).max()
+    assert sp.check_reflection_reduction(k, sp.named("harmonic"), k.grid) == (
+        np.abs(a - eye[::-1]).max()
+    )
+    assert np.array_equal(k.action, a)  # the checks leave the kernel untouched
+
+
+def test_identity_checks_refuse_truncated_triparity(qc_199):
+    trunc = sp.build_triparity(qc_199, truncate=50)
+    with pytest.raises(sp.TruncatedOperatorError):
+        sp.check_involution(trunc)
+    with pytest.raises(sp.TruncatedOperatorError):
+        sp.check_cube(trunc)
+
+
+def test_sweep_reflection_residuals_equal_the_dense_formula(tmp_path):
+    from specparity.cli import main
+
+    ns = [99, 199, 399]
+    args = ["sweep", "--potential", "harmonic", "--xmin", "-8", "--xmax", "8",
+            "--sweep-n", ",".join(map(str, ns)), "--truncate", "40", "--out", str(tmp_path)]
+    assert main(args) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for n, line in zip(ns, lines[1:]):
+        row = dict(zip(header, line.split(",")))
+        s = sp.solve(sp.assemble(sp.named("harmonic"), sp.make_grid(-8, 8, n)))
+        j = np.eye(n)[::-1]
+        assert float(row["reflection_residual"]) == np.abs(sp.build_parity(s).action - j).max()
+        trunc = sp.build_parity(s, truncate=40).action
+        assert float(row["trunc_residual"]) == np.abs(trunc - j).max()
+
+
 def test_conservation_superposition(qc_199):
     parity = sp.build_parity(qc_199)
     psi0 = (qc_199.modes[:, 0] + qc_199.modes[:, 1]) / np.sqrt(2.0)
