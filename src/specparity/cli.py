@@ -210,8 +210,9 @@ def _write_spectrum_csv(s: Spectrum, path: Path, save_modes: bool) -> None:
     with open(path, "w", encoding="ascii") as fh:
         if save_modes:
             fh.write("n,E," + ",".join(f"phi_{i}" for i in range(s.grid.n)) + "\n")
+            scale = np.sqrt(s.grid.h)  # phi_k = u_k / sqrt(h), one column at a time
             for k in range(s.n_modes):
-                samples = ",".join(fmt_float(x) for x in s.phi[:, k])
+                samples = ",".join(fmt_float(x) for x in s.modes[:, k] / scale)
                 fh.write(f"{k},{fmt_float(s.energies[k])},{samples}\n")
         else:
             fh.write("n,E\n")

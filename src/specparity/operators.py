@@ -13,6 +13,8 @@ else, which keeps stray h factors out of the operator identities.
 """
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,14 +217,33 @@ def adjoint(k: OperatorKernel) -> OperatorKernel:
     )
 
 
+@contextmanager
+def _replace_on_success(path):
+    """Write through a temporary file beside ``path``, renamed onto it on success.
+
+    On any error the temporary file is removed, so a failed write (say, a
+    kernel value that overflows to inf) leaves neither a partial file nor a
+    stray temporary behind.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_kernel_csv(k: OperatorKernel, path) -> None:
     """Kernel values K(x_i, x_j) as CSV with a header row of grid points."""
-    with open(path, "w", encoding="ascii") as fh:
+    with _replace_on_success(path) as fh:
         fh.writelines(fmt_rows([k.grid.points], ","))
         fh.writelines(fmt_rows(k.kernel_rows(), ","))
 
 
 def write_kernel_txt(k: OperatorKernel, path) -> None:
     """Plain textual dump, one kernel row per line, for regression baselines."""
-    with open(path, "w", encoding="ascii") as fh:
+    with _replace_on_success(path) as fh:
         fh.writelines(fmt_rows(k.kernel_rows(), " "))

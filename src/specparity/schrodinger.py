@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateSpectrumError,
@@ -31,6 +30,34 @@ _GRAM_CHECK_RANK = 16
 _GRAM_TOL = 1e-11
 _SIGN_RTOL = 1e-8
 _NODE_RTOL = 1e-9
+# Streamed checks split their n x n work into this many row blocks.
+_ROW_BLOCKS = 8
+
+
+def _row_blocks(count: int):
+    """Slices of ceil(count / 8) consecutive rows that cover 0..count-1.
+
+    The checks stream through these blocks, so no check holds an n x n
+    temporary: each block's work touches about n^2 / 8 entries.
+    """
+    step = -(-count // _ROW_BLOCKS)
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
+
+
+def _max_abs(c: np.ndarray) -> float:
+    """max|C|; a real C is reduced by its max and min, with no |C| temporary."""
+    if np.iscomplexobj(c):
+        return float(np.abs(c).max())
+    return abs(float(max(c.max(), -c.min())))  # abs: an all -0.0 C gives 0.0, as |C| does
+
+
+def _identity_defect(c: np.ndarray, first_row: int = 0) -> float:
+    """max|C - I| where C holds rows first_row.. of a matrix; C is overwritten.
+
+    Row i of C meets the diagonal of I in column first_row + i.
+    """
+    c.flat[first_row :: c.shape[1] + 1] -= 1
+    return _max_abs(c)
 
 
 @dataclass(frozen=True)
@@ -61,18 +88,24 @@ class HamiltonianMatrix:
             + np.diag(self.offdiag, -1)
         )
 
-    def matvec(self, f) -> np.ndarray:
-        """T f through the bands, for an (n,) vector or an (n, k) block of columns."""
+    def matvec(self, f, rows: slice = slice(None)) -> np.ndarray:
+        """T f through the bands, for an (n,) vector or an (n, k) block of columns.
+
+        ``rows`` (a unit-step slice) selects the rows of T f to form; they
+        read f one row beyond each end of the slice.
+        """
         f = np.asarray(f)
         if f.ndim not in (1, 2) or f.shape[0] != self.n:
             raise GridMismatchError(
                 f"operand has shape {f.shape}, expected ({self.n},) or ({self.n}, k)"
             )
-        rows = (slice(None),) + (np.newaxis,) * (f.ndim - 1)
-        diag, offdiag = self.diag[rows], self.offdiag[rows]
-        out = diag * f
-        out[:-1] += offdiag * f[1:]
-        out[1:] += offdiag * f[:-1]
+        start, stop, _ = rows.indices(self.n)
+        cols = (slice(None),) + (np.newaxis,) * (f.ndim - 1)
+        out = self.diag[start:stop][cols] * f[start:stop]
+        below = min(stop, self.n - 1)  # rows start..below-1 have a row below
+        out[: below - start] += self.offdiag[start:below][cols] * f[start + 1 : below + 1]
+        above = max(start, 1)  # rows above..stop-1 have a row above
+        out[above - start :] += self.offdiag[above - 1 : stop - 1][cols] * f[above - 1 : stop - 1]
         return out
 
     def subtract_from(self, a: np.ndarray) -> np.ndarray:
@@ -93,15 +126,18 @@ class Spectrum:
     """Eigensystem of the discretized Hamiltonian.
 
     energies are ascending; the columns of ``modes`` are Euclidean-
-    orthonormal eigenvectors u_n with the first significant entry positive;
-    ``phi`` holds the quadrature-normalized samples u_n / sqrt(h), the
-    discrete version of unit-normalized eigenfunctions.
+    orthonormal eigenvectors u_n with the first significant entry positive.
     """
 
     grid: Grid
     energies: np.ndarray
     modes: np.ndarray
-    phi: np.ndarray
+
+    @property
+    def phi(self) -> np.ndarray:
+        """Quadrature-normalized samples u_n / sqrt(h), the discrete version
+        of unit-normalized eigenfunctions; a new n x n array on each read."""
+        return self.modes / np.sqrt(self.grid.h)
 
     @property
     def n_modes(self) -> int:
@@ -239,6 +275,8 @@ def solve(hm: HamiltonianMatrix) -> Spectrum:
     All n eigenpairs are computed: downstream operator constructions need
     the complete discrete basis for their identities to hold exactly.
     """
+    import scipy.linalg  # here, not at module top, so CLI start-up does not pay for it
+
     try:
         energies, modes = scipy.linalg.eigh_tridiagonal(
             hm.diag, hm.offdiag, lapack_driver="stemr"
@@ -258,19 +296,21 @@ def solve(hm: HamiltonianMatrix) -> Spectrum:
             f"eigenvector orthonormality defect {np.abs(gram).max():.3e} exceeds {_GRAM_TOL:g}"
         )
 
-    phi = modes / np.sqrt(hm.grid.h)
-    for arr in (energies, modes, phi):
+    for arr in (energies, modes):
         arr.flags.writeable = False
-    return Spectrum(grid=hm.grid, energies=energies, modes=modes, phi=phi)
+    return Spectrum(grid=hm.grid, energies=energies, modes=modes)
 
 
 def check_orthonormality(s: Spectrum, rank: int) -> float:
-    """Max deviation of the quadrature Gram matrix from the identity."""
+    """Max deviation of the Gram matrix of the first ``rank`` modes from the identity.
+
+    The quadrature Gram h * phi^T phi of the samples is U^T U, taken here
+    from the modes directly, one row block at a time.
+    """
     if not (1 <= rank <= s.n_modes):
         raise ValueError(f"rank must be in 1..{s.n_modes}, got {rank}")
-    block = s.phi[:, :rank]
-    gram = s.grid.h * (block.T @ block)
-    return float(np.abs(gram - np.eye(rank)).max())
+    u = s.modes[:, :rank]
+    return max(_identity_defect(u[:, rows].T @ u, rows.start) for rows in _row_blocks(rank))
 
 
 def check_completeness(s: Spectrum) -> float:
@@ -283,8 +323,8 @@ def check_completeness(s: Spectrum) -> float:
         raise TruncatedSpectrumError(
             f"completeness needs all {s.grid.n} modes, got {s.n_modes}"
         )
-    gram = s.modes @ s.modes.T
-    return float(np.abs(gram - np.eye(s.grid.n)).max())
+    u = s.modes
+    return max(_identity_defect(u[rows] @ u.T, rows.start) for rows in _row_blocks(s.grid.n))
 
 
 def count_nodes(s: Spectrum, k: int) -> int:

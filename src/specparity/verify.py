@@ -34,6 +34,9 @@ from .potentials import Potential, is_even
 from .schrodinger import (
     HamiltonianMatrix,
     Spectrum,
+    _identity_defect,
+    _max_abs,
+    _row_blocks,
     assemble,
     check_completeness,
     check_orthonormality,
@@ -121,13 +124,10 @@ class VerificationReport:
         return dumps(self.to_mapping(include_seconds))
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.abs(a).max())
-
-
 def check_hermiticity(k: OperatorKernel) -> float:
-    """Entrywise max of A - A^dagger."""
-    return _max_abs(k.action - k.action.conj().T)
+    """Entrywise max of A - A^dagger, one row block at a time."""
+    a = k.action
+    return max(_max_abs(a[rows] - a[:, rows].conj().T) for rows in _row_blocks(k.n))
 
 
 def spectral_hermiticity_gap(k: OperatorKernel) -> float:
@@ -138,20 +138,27 @@ def spectral_hermiticity_gap(k: OperatorKernel) -> float:
     [[S, K], [-K, S]] is symmetric with the same eigenvalues, each doubled,
     so one Lanczos run for the largest-magnitude eigenvalue gives the exact
     norm of the full matrix without a dense complex eigensolve.
+
+    S and K are never formed: with z = x + iy, the embedding maps (x, y)
+    to (Im(A z) + Im(A^T conj z), Re(A^T conj z) - Re(A z)), two
+    matrix-vector products with A itself.
     """
     # imported here, not at module top, so CLI start-up does not pay for it
     from scipy.sparse.linalg import LinearOperator, eigsh
 
+    if check_hermiticity(k) == 0.0:
+        return 0.0  # exactly Hermitian; Lanczos cannot start on a zero operator
     a = k.action
     n = k.n
-    s = a.imag + a.imag.T
-    anti = a.real - a.real.T  # Re A need not be symmetric: keep K
-    if not (s.any() or anti.any()):
-        return 0.0  # exactly Hermitian; Lanczos cannot start on a zero operator
 
     def embedded(v):
+        v = np.ravel(v)
         x, y = v[:n], v[n:]
-        return np.concatenate([s @ x + anti @ y, s @ y - anti @ x])
+        if not np.iscomplexobj(a):  # S = 0 and K = A - A^T
+            return np.concatenate([a @ y - y @ a, x @ a - a @ x])
+        z = x + 1j * y
+        az, atz = a @ z, z.conj() @ a
+        return np.concatenate([az.imag + atz.imag, atz.real - az.real])
 
     op = LinearOperator((2 * n, 2 * n), matvec=embedded, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(2 * n)
@@ -162,23 +169,27 @@ def spectral_hermiticity_gap(k: OperatorKernel) -> float:
 def check_commutator(k: OperatorKernel, hm: HamiltonianMatrix) -> float:
     """Relative commutator ||A T - T A||_max / ||T||_max.
 
-    T is applied through its bands: T A column by column, and
-    A T = (T A^T)^T since T is symmetric. T is real, so a complex A is
-    taken one real part at a time, which keeps the temporaries real.
+    T is applied through its bands, one row block of the commutator at a
+    time: rows b of A T are (T A[b]^T)^T since T is symmetric, and rows b
+    of T A read A one row beyond each edge of b. T is real, so a complex A
+    is taken one real part at a time, which keeps the temporaries real.
     """
     require_same_grid(k.grid, hm.grid)
 
-    def commutator(part: np.ndarray) -> np.ndarray:
-        out = hm.matvec(part.T).T
-        out -= hm.matvec(part)
+    def commutator(part: np.ndarray, rows: slice) -> np.ndarray:
+        out = hm.matvec(part[rows].T).T
+        out -= hm.matvec(part, rows)
         return out
 
+    def defect(rows: slice) -> float:
+        if not np.iscomplexobj(a):
+            return _max_abs(commutator(a, rows))
+        squared = commutator(a.real, rows) ** 2  # |C|^2 = (Re C)^2 + (Im C)^2
+        squared += commutator(a.imag, rows) ** 2
+        return float(np.sqrt(squared.max()))
+
     a = k.action
-    if not np.iscomplexobj(a):
-        return _max_abs(commutator(a)) / hm.norm_max
-    squared = commutator(a.real) ** 2  # |C|^2 = (Re C)^2 + (Im C)^2
-    squared += commutator(a.imag) ** 2
-    return float(np.sqrt(squared.max())) / hm.norm_max
+    return max(defect(rows) for rows in _row_blocks(k.n)) / hm.norm_max
 
 
 def _require_full(k: OperatorKernel, what: str) -> None:
@@ -189,47 +200,69 @@ def _require_full(k: OperatorKernel, what: str) -> None:
         )
 
 
-def _identity_defect(c: np.ndarray) -> float:
-    """||C - I||_max for a square C, computed in place: C is overwritten."""
-    c.flat[:: c.shape[0] + 1] -= 1
-    return _max_abs(c)
+def check_order(k: OperatorKernel, m: int) -> float:
+    """||A^m - I||_max, the order-m identity of a full-basis grading operator.
+
+    A complex A is streamed: rows b of A^m are formed as (A[b] A) ... A,
+    so one row block of the product is live instead of A^(m-1) and A^m.
+    A real A keeps the whole product: a real GEMM cut into row blocks may
+    round differently from the whole one, and the real residuals stay
+    bitwise those of the dense formula.
+    """
+    if m < 2:
+        raise ValueError(f"order must be at least 2, got {m}")
+    _require_full(k, f"A^{m} = I")
+    a = k.action
+
+    def power(rows: slice) -> np.ndarray:
+        c = a[rows] @ a
+        for _ in range(m - 2):
+            c = c @ a
+        return c
+
+    if not np.iscomplexobj(a):
+        return _identity_defect(power(slice(None)))
+    return max(_identity_defect(power(rows), rows.start) for rows in _row_blocks(k.n))
 
 
 def check_involution(k: OperatorKernel) -> float:
     """||A^2 - I||_max; the discrete form of the kernel self-composition."""
-    _require_full(k, "involution")
-    return _identity_defect(k.action @ k.action)
+    return check_order(k, 2)
 
 
 def check_cube(k: OperatorKernel) -> float:
     """||A^3 - I||_max."""
-    _require_full(k, "cube identity")
-    a = k.action
-    c = a @ a
-    c = c @ a
-    return _identity_defect(c)
+    return check_order(k, 3)
 
 
 def check_alternation(k: OperatorKernel, s: Spectrum, w: GradingWeights | None = None) -> float:
-    """max_n ||A u_n - w_n u_n||_2 for the expected eigenvalue sequence w."""
+    """max_n ||A u_n - w_n u_n||_2 for the expected eigenvalue sequence w.
+
+    The residual R = A U - U diag(w) is formed one row block at a time and
+    its squared column norms are summed over the blocks. U is real, so a
+    complex A or w is taken one real part at a time, as real GEMMs:
+    |R|^2 = (Re A U - U Re w)^2 + (Im A U - U Im w)^2. Row blocks of Re A
+    and Im A are small strided copies; a column block of U would need the
+    whole of Re A copied for every block.
+    """
     require_same_grid(k.grid, s.grid)
     if w is None:
         w = GradingWeights.alternating(s.n_modes)
     if len(w) != s.n_modes:
         raise GridMismatchError(f"got {len(w)} weights for {s.n_modes} modes")
-    a, u = k.action, s.modes
-    if not np.iscomplexobj(a):
-        resid = a @ u - u * w.values
-        return float(np.linalg.norm(resid, axis=0).max())
-    # U is real: two real GEMMs instead of casting U to complex for one
-    squared = a.real @ u
-    squared -= u * w.values.real
-    squared **= 2  # |R|^2 = (Re R)^2 + (Im R)^2
-    im = a.imag @ u
-    im -= u * w.values.imag
-    im **= 2
-    squared += im
-    return float(np.sqrt(squared.sum(axis=0)).max())
+    a, u, wv = k.action, s.modes, w.values
+    parts = [(a.real, wv.real)]
+    if np.iscomplexobj(a) or np.iscomplexobj(wv):
+        parts.append((a.imag if np.iscomplexobj(a) else None, wv.imag))
+    squared = np.zeros(s.n_modes)
+    for rows in _row_blocks(s.grid.n):
+        for part, weights in parts:
+            r = u[rows] * -weights
+            if part is not None:
+                r += part[rows] @ u
+            r **= 2
+            squared += r.sum(axis=0)
+    return float(np.sqrt(squared).max())
 
 
 def check_reflection_reduction(p: OperatorKernel, v: Potential, grid: Grid):
@@ -247,9 +280,11 @@ def check_reflection_reduction(p: OperatorKernel, v: Potential, grid: Grid):
 def reflection_defect(k: OperatorKernel) -> float:
     """||A - J||_max, with J the anti-identity that reflects a symmetric grid.
 
-    A - J is A[::-1] - I with its rows flipped, so J is never built.
+    A - J is A[::-1] - I with its rows flipped, so J is never built; the
+    rows of A[::-1] are compared one block at a time.
     """
-    return _identity_defect(k.action[::-1].copy())
+    flipped = k.action[::-1]
+    return max(_identity_defect(flipped[rows].copy(), rows.start) for rows in _row_blocks(k.n))
 
 
 def check_conservation(p: OperatorKernel, s: Spectrum, psi0, times) -> float:
@@ -266,19 +301,24 @@ def check_conservation(p: OperatorKernel, s: Spectrum, psi0, times) -> float:
     if abs(norm - 1.0) > NORM_TOL:
         raise UnnormalizedStateError(f"state norm {norm!r} differs from 1")
     # One (n, len(times)) block holds every psi(t). U is real, so each
-    # product with it runs as two real GEMMs instead of a complex one.
+    # product with it runs as two real GEMMs instead of a complex one, and
+    # psi is kept as its real and imaginary parts.
     u = s.modes
     coeff = u.T @ psi0.real + 1j * (u.T @ psi0.imag)
-    phased = coeff[:, np.newaxis] * np.exp(
-        -1j * np.multiply.outer(s.energies, np.asarray(times, dtype=float))
-    )
-    psi = u @ phased.real + 1j * (u @ phased.imag)
+    phased = np.multiply.outer(s.energies, np.asarray(times, dtype=float)) * -1j
+    np.exp(phased, out=phased)
+    phased *= coeff[:, np.newaxis]
+    re, im = u @ phased.real, u @ phased.imag
+    del phased
     a = p.action
     if np.iscomplexobj(a):
-        a_psi = a @ psi
+        psi = re + 1j * im
+        values = np.einsum("ij,ij->j", psi.conj(), a @ psi)
     else:
-        a_psi = a @ psi.real + 1j * (a @ psi.imag)
-    values = np.einsum("ij,ij->j", psi.conj(), a_psi)
+        a_re, a_im = a @ re, a @ im
+        # <psi|A psi> = re.A re + im.A im + i (re.A im - im.A re) for real A
+        values = np.einsum("ij,ij->j", re, a_re) + np.einsum("ij,ij->j", im, a_im)
+        values = values + 1j * (np.einsum("ij,ij->j", re, a_im) - np.einsum("ij,ij->j", im, a_re))
     return float(np.abs(values - values[0]).max())
 
 
@@ -432,5 +472,4 @@ def corrupt_spectrum(s: Spectrum, mode: int, eps: float = 1e-3, seed: int = 0) -
     modes = s.modes.copy()
     noisy = modes[:, mode] + eps * rng.standard_normal(s.grid.n)
     modes[:, mode] = noisy / np.linalg.norm(noisy)
-    phi = modes / np.sqrt(s.grid.h)
-    return replace(s, modes=modes, phi=phi)
+    return replace(s, modes=modes)

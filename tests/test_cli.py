@@ -56,6 +56,41 @@ def test_solve_save_modes(tmp_path):
     assert len(lines[1].split(",")) == 51
 
 
+def test_solve_save_modes_writes_the_phi_columns_byte_for_byte(tmp_path):
+    # oracle: the whole phi = modes / sqrt(h) array, formatted column by column
+    code = run_cli(
+        ["solve", "--potential", "quartic_cubic", "--xmin", -10, "--xmax", 10, "--n", 99,
+         "--out", tmp_path, "--save-modes"]
+    )
+    assert code == 0
+    s = sp.solve(sp.assemble(sp.named("quartic_cubic"), sp.make_grid(-10, 10, 99)))
+    phi = s.modes / np.sqrt(s.grid.h)
+    lines = ["n,E," + ",".join(f"phi_{i}" for i in range(99))]
+    for k in range(99):
+        cells = [str(k), format(float(s.energies[k]), ".17g")]
+        cells += [format(float(x), ".17g") for x in phi[:, k]]
+        lines.append(",".join(cells))
+    assert (tmp_path / "spectrum.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_cli_start_up_does_not_import_scipy(tmp_path):
+    probe = (
+        "import sys\n"
+        "from specparity import cli\n"
+        "cli.build_config(cli._build_parser().parse_args(sys.argv[1:]))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, "verify", "--potential", "harmonic", "--xmin", "-8",
+         "--xmax", "8", "--n", "99", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_solve_rejects_tiny_grid(tmp_path, capsys):
     code = run_cli(
         ["solve", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--n", 1, "--out", tmp_path]
@@ -377,3 +412,18 @@ def test_export_both_kernels_txt_matches_csv(tmp_path):
     np.testing.assert_array_equal(q_csv, q_txt)
     cube = np.linalg.matrix_power(q_csv * sp.make_grid(-10, 10, 49).h, 3)
     assert np.abs(cube - np.eye(49)).max() <= 1e-10
+
+
+def test_export_of_an_overflowing_kernel_exits_2_and_leaves_no_files(tmp_path, monkeypatch):
+    # a finite action whose kernel A/h overflows to inf on a fine grid
+    def overflowing(spectrum, truncate=None):
+        return sp.OperatorKernel(grid=spectrum.grid, action=np.full((99, 99), 1e307))
+
+    monkeypatch.setattr("specparity.cli.build_parity", overflowing)
+    with np.errstate(over="ignore"):
+        code = run_cli(
+            ["export-kernel", "--potential", "harmonic", "--xmin", -1, "--xmax", 1,
+             "--n", 99, "--out", tmp_path]
+        )
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []

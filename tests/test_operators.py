@@ -29,7 +29,7 @@ def test_parity_eigenvector_action(qc_199):
 
 
 def test_parity_requires_full_spectrum(qc_199):
-    partial = dataclasses.replace(qc_199, modes=qc_199.modes[:, :100], phi=qc_199.phi[:, :100])
+    partial = dataclasses.replace(qc_199, modes=qc_199.modes[:, :100])
     with pytest.raises(sp.TruncatedSpectrumError):
         sp.build_parity(partial)
 
@@ -37,7 +37,7 @@ def test_parity_requires_full_spectrum(qc_199):
 def test_parity_is_invariant_under_mode_sign_flips(qc_199):
     flipped = qc_199.modes.copy()
     flipped[:, [0, 3, 17, 101]] *= -1.0
-    other = dataclasses.replace(qc_199, modes=flipped, phi=flipped / np.sqrt(qc_199.grid.h))
+    other = dataclasses.replace(qc_199, modes=flipped)
     a = sp.build_parity(qc_199).action
     b = sp.build_parity(other).action
     assert np.abs(a - b).max() <= 1e-12
@@ -329,3 +329,18 @@ def test_kernel_writers_reject_a_kernel_that_overflows(tmp_path, scale):
             sp.write_kernel_csv(k, tmp_path / "k.csv")
         with pytest.raises(ValueError, match="non-finite"):
             sp.write_kernel_txt(k, tmp_path / "k.txt")
+
+
+@pytest.mark.parametrize("scale", [1e307, 1e307 + 1e307j])
+def test_failed_kernel_write_leaves_no_file_behind(tmp_path, scale):
+    k = sp.OperatorKernel(grid=sp.make_grid(-1, 1, 99), action=np.full((99, 99), scale))
+    (tmp_path / "old.txt").write_text("kept\n")
+    with np.errstate(over="ignore"):
+        for writer, name in ((sp.write_kernel_csv, "k.csv"), (sp.write_kernel_txt, "k.txt")):
+            with pytest.raises(ValueError, match="non-finite"):
+                writer(k, tmp_path / name)
+            # an existing file at the target keeps its content
+            with pytest.raises(ValueError, match="non-finite"):
+                writer(k, tmp_path / "old.txt")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+    assert (tmp_path / "old.txt").read_text() == "kept\n"

@@ -101,6 +101,13 @@ def test_spectrum_invariants(harmonic_999):
     assert np.array_equal(s.phi, s.modes / np.sqrt(s.grid.h))
 
 
+def test_phi_is_derived_not_stored(harmonic_199):
+    assert "phi" not in {f.name for f in dataclasses.fields(sp.Spectrum)}
+    s = harmonic_199
+    assert np.array_equal(s.phi, s.modes / np.sqrt(s.grid.h))
+    assert sp.check_orthonormality(s, s.n_modes) <= 1e-11
+
+
 def test_bound_state_gaps_are_simple(harmonic_999, qc_999):
     # strictly positive gaps throughout the resolved bound-state window
     h = harmonic_999
@@ -143,7 +150,7 @@ def test_completeness_detects_a_deleted_mode(harmonic_199):
     modes = s.modes.copy()
     u0 = modes[:, 0].copy()
     modes[:, 0] = 0.0
-    broken = dataclasses.replace(s, modes=modes, phi=modes / np.sqrt(s.grid.h))
+    broken = dataclasses.replace(s, modes=modes)
     deviation = sp.check_completeness(broken)
     assert deviation == pytest.approx(np.max(u0**2), rel=1e-6)
     assert deviation > 1e-4
@@ -151,7 +158,7 @@ def test_completeness_detects_a_deleted_mode(harmonic_199):
 
 def test_completeness_requires_full_spectrum(harmonic_199):
     s = harmonic_199
-    partial = dataclasses.replace(s, modes=s.modes[:, :-1], phi=s.phi[:, :-1])
+    partial = dataclasses.replace(s, modes=s.modes[:, :-1])
     with pytest.raises(sp.TruncatedSpectrumError):
         sp.check_completeness(partial)
 

@@ -110,9 +110,7 @@ def test_alternation_invariant_under_sign_flips(qc_199):
     parity = sp.build_parity(qc_199)
     flipped_modes = qc_199.modes.copy()
     flipped_modes[:, [1, 4, 60]] *= -1.0
-    flipped = dataclasses.replace(
-        qc_199, modes=flipped_modes, phi=flipped_modes / np.sqrt(qc_199.grid.h)
-    )
+    flipped = dataclasses.replace(qc_199, modes=flipped_modes)
     a = sp.check_alternation(parity, qc_199)
     b = sp.check_alternation(sp.build_parity(flipped), flipped)
     assert abs(a - b) <= 1e-14
@@ -333,7 +331,7 @@ def test_tolerance_override_validation(qc_199):
 def test_stage_failures_carry_the_stage_name(qc_199):
     import dataclasses
 
-    partial = dataclasses.replace(qc_199, modes=qc_199.modes[:, :50], phi=qc_199.phi[:, :50])
+    partial = dataclasses.replace(qc_199, modes=qc_199.modes[:, :50])
     with pytest.raises(sp.SuiteStageError) as err:
         sp.run_suite(sp.named("quartic_cubic"), qc_199.grid, spectrum=partial)
     assert err.value.stage == "build_parity"
