@@ -51,9 +51,10 @@ class DegenerateSpectrumError(EigensolverError):
     """Near-degenerate eigenvalues could not be resolved.
 
     Signals a discretization pathology: an unreduced Jacobi matrix has
-    simple eigenvalues in exact arithmetic, so a gap below the guard that
-    cannot be fixed by an exact reflection symmetry means the computed
-    eigenvectors are unreliable.
+    simple eigenvalues in exact arithmetic, so a gap below the guard without
+    an exact reflection symmetry to separate the pair, or parity blocks
+    whose eigenvalues do not alternate, means the computed eigenvectors are
+    unreliable.
     """
 
 

@@ -24,7 +24,8 @@ from .potentials import Potential, evaluate
 # Gaps at or below DEGENERACY_RTOL * max|E| are treated as numerically
 # degenerate. In exact arithmetic a Jacobi matrix cannot have them, but the
 # band-top modes of a reflection-symmetric Hamiltonian pair up with
-# splittings far below machine precision.
+# splittings far below machine precision; solve() takes such a Hamiltonian
+# apart into its two parity blocks, so the members of a pair never meet.
 DEGENERACY_RTOL = 1e-10
 _GRAM_CHECK_RANK = 16
 _GRAM_TOL = 1e-11
@@ -127,6 +128,7 @@ class Spectrum:
 
     energies are ascending; the columns of ``modes`` are Euclidean-
     orthonormal eigenvectors u_n with the first significant entry positive.
+    For a reflection-symmetric Hamiltonian u_n[::-1] == (-1)^n u_n exactly.
     """
 
     grid: Grid
@@ -168,126 +170,116 @@ def assemble(v: Potential, grid: Grid) -> HamiltonianMatrix:
     return assemble_from_samples(evaluate(v, grid.points), grid)
 
 
-def _find_clusters(gaps: np.ndarray, guard: float) -> list:
-    """Maximal runs of consecutive indices whose gaps are all <= guard."""
-    clusters = []
-    n = gaps.size + 1
-    k = 0
-    while k < n:
-        j = k
-        while j < n - 1 and gaps[j] <= guard:
-            j += 1
-        if j > k:
-            clusters.append((k, j + 1))
-        k = j + 1
-    return clusters
+def _eigh_tridiagonal(diag: np.ndarray, offdiag: np.ndarray):
+    """All eigenpairs of the symmetric tridiagonal matrix with these bands (LAPACK stemr)."""
+    import scipy.linalg  # here, not at module top, so CLI start-up does not pay for it
+
+    try:
+        energies, vectors = scipy.linalg.eigh_tridiagonal(diag, offdiag, lapack_driver="stemr")
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise EigensolverError(f"tridiagonal eigensolve failed: {exc}") from exc
+    if not np.all(np.isfinite(energies)) or not np.all(np.isfinite(vectors)):
+        raise EigensolverError("eigensolver returned non-finite values")
+    return energies, vectors
 
 
-def _adapt_reflection(hm: HamiltonianMatrix, energies: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Resolve eigenvectors against the exact reflection symmetry of T.
+def _solve_folded(hm: HamiltonianMatrix):
+    """Eigenpairs of a palindromic T from its even and odd half-size blocks.
 
-    When diag is exactly palindromic, T commutes exactly with the index
-    reversal J, and in exact arithmetic mode k is a J-eigenvector with
-    parity (-1)^k (its k sign changes pair up across the midpoint). The
-    computed basis loses this in two ways: well-separated modes pick up
-    O(eps*||T||/gap) admixtures, and numerically degenerate clusters come
-    back as arbitrary rotations. Projecting each isolated mode onto its
-    parity sector and splitting each cluster by sector restores the exact-
-    arithmetic basis without changing any backward-stable quantity.
-
-    Degenerate clusters that cannot be resolved this way (no reflection
-    symmetry, or a sector count that contradicts the alternation) raise
-    DegenerateSpectrumError.
+    In the basis (e_i +- e_{n-1-i}) / sqrt(2), plus e_m at the middle of an
+    odd n, T is the direct sum of two tridiagonal blocks (Cantoni & Butler,
+    Linear Algebra Appl. 13 (1976) 275-288). A block vector v unfolds to the
+    mode [v/sqrt2, v_m, +-v[::-1]/sqrt2], whose halves are the same rounded
+    numbers, so u[::-1] == (-1)^k u exactly. Mode 2k is the even block's
+    k-th eigenvector and mode 2k+1 the odd block's, as the oscillation
+    theorem orders them. Eigenvalues that contradict this alternation by
+    more than the degeneracy guard raise DegenerateSpectrumError; within
+    the guard the modes keep it and ``energies`` is sorted ascending.
     """
-    n = energies.size
+    n, d, e = hm.n, hm.diag, hm.offdiag
+    m = n // 2
+    root2 = np.sqrt(2.0)
+    modes = np.empty((n, n))  # first, so the odd block reuses the even block's freed memory
+    alternating = np.empty(n)
+    for parity, cols in ((1.0, slice(0, None, 2)), (-1.0, slice(1, None, 2))):
+        size = n - m if parity > 0 else m
+        d_block, e_block = d[:size].copy(), e[: size - 1].copy()
+        if n % 2 == 0:
+            d_block[-1] += parity * e[m - 1]  # the two middle rows couple to each other
+        elif parity > 0:
+            e_block[-1] *= root2  # the middle row couples to both halves
+        values, v = _eigh_tridiagonal(d_block, e_block)
+        alternating[cols] = values
+        u = modes[:, cols]
+        np.divide(v[:m], root2, out=u[:m])
+        np.divide(v[:m][::-1], parity * root2, out=u[n - m :])
+        if n % 2:
+            u[m] = v[m] if parity > 0 else 0.0
+        del v  # freed before the odd block is solved
+    guard = DEGENERACY_RTOL * np.abs(alternating).max()
+    gaps = np.diff(alternating)
+    bad = np.flatnonzero(gaps < -guard)
+    if bad.size:
+        k = int(bad[0])
+        raise DegenerateSpectrumError(
+            f"{bad.size} eigenvalue(s) contradict the reflection-parity alternation "
+            f"(first: E_{k} - E_{k + 1} = {-gaps[k]:.3e} > guard {guard:.3e})"
+        )
+    alternating.sort()
+    return alternating, modes
+
+
+def _check_simple(energies: np.ndarray) -> None:
+    """Raise DegenerateSpectrumError on a gap at or below the degeneracy guard."""
     gaps = np.diff(energies)
     guard = DEGENERACY_RTOL * np.abs(energies).max()
-    clusters = _find_clusters(gaps, guard)
-    reflective = bool(
-        np.array_equal(hm.diag, hm.diag[::-1])
-        and np.array_equal(hm.offdiag, hm.offdiag[::-1])
-    )
-    if not reflective:
-        if clusters:
-            k, j = clusters[0]
-            raise DegenerateSpectrumError(
-                f"{len(clusters)} near-degenerate cluster(s) (first at modes {k}..{j - 1}, "
-                f"gap {gaps[k]:.3e} <= guard {guard:.3e}) and the Hamiltonian has no "
-                f"exact reflection symmetry to resolve them"
-            )
-        return modes
-
-    signs = (-1.0) ** np.arange(n)
-    in_cluster = np.zeros(n, dtype=bool)
-    for a, b in clusters:
-        in_cluster[a:b] = True
-
-    # Isolated modes: project onto the expected sector. The projection is a
-    # near-identity here because above-guard gaps keep admixtures small.
-    proj = (modes + modes[::-1, :] * signs[np.newaxis, :]) / 2.0
-    norms = np.linalg.norm(proj, axis=0)
-    good = ~in_cluster & (norms > 0.5)
-    modes = modes.copy()
-    modes[:, good] = proj[:, good] / norms[good]
-    bad = np.nonzero(~in_cluster & (norms <= 0.5))[0]
-    if bad.size:
+    close = np.flatnonzero(gaps <= guard)
+    if close.size:
+        k = int(close[0])
         raise DegenerateSpectrumError(
-            f"mode(s) {bad.tolist()} contradict the reflection-parity alternation"
+            f"{close.size} near-degenerate gap(s) (first between modes {k} and {k + 1}, "
+            f"gap {gaps[k]:.3e} <= guard {guard:.3e}) and the Hamiltonian has no "
+            f"exact reflection symmetry to resolve them"
         )
 
-    for a, b in clusters:
-        block = modes[:, a:b]
-        idx = np.arange(a, b)
-        expected = signs[a:b]
-        for s in (1.0, -1.0):
-            slots = idx[expected == s]
-            sector = (block + s * block[::-1, :]) / 2.0
-            basis, sv, _ = np.linalg.svd(sector, full_matrices=False)
-            keep = basis[:, sv > 0.5]
-            if keep.shape[1] != slots.size:
-                raise DegenerateSpectrumError(
-                    f"cluster at modes {a}..{b - 1} splits into {keep.shape[1]} "
-                    f"{'even' if s > 0 else 'odd'} vector(s), expected {slots.size}"
-                )
-            keep = (keep + s * keep[::-1, :]) / 2.0  # re-pin exact symmetry
-            keep = keep / np.linalg.norm(keep, axis=0)
-            if slots.size > 1:
-                # order sector members by Rayleigh quotient for determinism
-                tv = hm.matvec(keep)
-                keep = keep[:, np.argsort(np.einsum("ij,ij->j", keep, tv))]
-            modes[:, slots] = keep
-    return modes
 
+def _fix_signs(modes: np.ndarray) -> None:
+    """Make the first entry above 1e-8 * max|u_n| of each column positive, in place.
 
-def _fix_signs(modes: np.ndarray) -> np.ndarray:
-    """First entry with magnitude above 1e-8 * max|u_n| made positive."""
-    n = modes.shape[1]
-    thresh = _SIGN_RTOL * np.abs(modes).max(axis=0)
-    first = (np.abs(modes) > thresh[np.newaxis, :]).argmax(axis=0)
-    signs = np.sign(modes[first, np.arange(n)])
+    The first such row is found one row block at a time: no n x n temporary.
+    """
+    cols = modes.shape[1]
+    thresh = _SIGN_RTOL * np.maximum(modes.max(axis=0), -modes.min(axis=0))
+    first = np.full(cols, -1)  # stays -1, a zero entry, only in an all-zero column
+    for rows in _row_blocks(modes.shape[0]):
+        hit = np.abs(modes[rows]) > thresh
+        new = (first < 0) & hit.any(axis=0)
+        first[new] = rows.start + hit.argmax(axis=0)[new]
+        if first.min() >= 0:
+            break
+    signs = np.sign(modes[first, np.arange(cols)])
     signs[signs == 0] = 1.0
-    return modes * signs
+    modes *= signs
 
 
 def solve(hm: HamiltonianMatrix) -> Spectrum:
     """Full eigendecomposition of the tridiagonal Hamiltonian.
 
     All n eigenpairs are computed: downstream operator constructions need
-    the complete discrete basis for their identities to hold exactly.
+    the complete discrete basis for their identities to hold exactly. A
+    reflection-symmetric T (palindromic bands) is solved as its two
+    half-size parity blocks; any other T in one stemr call.
     """
-    import scipy.linalg  # here, not at module top, so CLI start-up does not pay for it
-
-    try:
-        energies, modes = scipy.linalg.eigh_tridiagonal(
-            hm.diag, hm.offdiag, lapack_driver="stemr"
-        )
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise EigensolverError(f"tridiagonal eigensolve failed: {exc}") from exc
-    if not np.all(np.isfinite(energies)) or not np.all(np.isfinite(modes)):
-        raise EigensolverError("eigensolver returned non-finite values")
-
-    modes = _adapt_reflection(hm, energies, modes)
-    modes = _fix_signs(modes)
+    reflective = bool(
+        np.array_equal(hm.diag, hm.diag[::-1])
+        and np.array_equal(hm.offdiag, hm.offdiag[::-1])
+    )
+    if reflective:
+        energies, modes = _solve_folded(hm)
+    else:
+        energies, modes = _eigh_tridiagonal(hm.diag, hm.offdiag)
+        _check_simple(energies)
+    _fix_signs(modes)
 
     r = min(_GRAM_CHECK_RANK, hm.n)
     gram = modes[:, :r].T @ modes[:, :r] - np.eye(r)

@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import specparity as sp
+from specparity import schrodinger
 
 from conftest import solve_potential
 
@@ -246,3 +248,116 @@ def test_spectrum_arrays_are_read_only(harmonic_199):
         harmonic_199.modes[0, 0] = 1.0
     with pytest.raises(ValueError):
         harmonic_199.energies[0] = 0.0
+
+
+DOUBLE_WELL = sp.polynomial([625.0, 0.0, -50.0, 0.0, 1.0])  # (x^2 - 25)^2
+
+
+@pytest.fixture
+def stemr_values(monkeypatch):
+    """Eigenvalues returned by each scipy.linalg.eigh_tridiagonal call that solve makes."""
+    calls = []
+    original = scipy.linalg.eigh_tridiagonal
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(result[0].copy())
+        return result
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+    return calls
+
+
+@pytest.mark.parametrize("pot", [sp.named("harmonic"), DOUBLE_WELL], ids=["harmonic", "double_well"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 199, 200])
+def test_folded_solve_matches_dense_and_is_exactly_symmetric(pot, n, stemr_values):
+    hm = sp.assemble(pot, sp.make_grid(-8, 8, n))
+    s = sp.solve(hm)
+    assert len(stemr_values) == 2  # the even and the odd block
+    dense = hm.to_dense()
+    oracle = np.linalg.eigvalsh(dense)
+    norm = np.abs(oracle).max()
+    assert np.abs(s.energies - oracle).max() <= 1e-13 * norm
+    assert np.abs(dense @ s.modes - s.modes * s.energies).max() <= 1e-12 * norm
+    assert np.array_equal(s.modes[::-1], s.modes * (-1.0) ** np.arange(n))
+
+
+@pytest.mark.parametrize("n", [399, 400])
+def test_folded_energies_ascend_inside_tunneling_pairs(n, stemr_values):
+    s = solve_potential(DOUBLE_WELL, -8, 8, n)
+    even, odd = stemr_values
+    alternating = np.empty(n)
+    alternating[0::2], alternating[1::2] = even, odd
+    assert np.any(np.diff(alternating) < 0)  # sub-rounding pairs come back inverted
+    assert np.all(np.diff(s.energies) >= 0)
+    assert np.array_equal(np.sort(alternating), s.energies)
+
+
+def test_folded_solve_raises_when_blocks_do_not_alternate(monkeypatch):
+    original = scipy.linalg.eigh_tridiagonal
+    calls = []
+
+    def shifted(*args, **kwargs):
+        values, vectors = original(*args, **kwargs)
+        calls.append(values)
+        return (values + 3.0 if len(calls) == 2 else values), vectors  # odd block up past E_2
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", shifted)
+    hm = sp.assemble(sp.named("harmonic"), sp.make_grid(-8, 8, 199))
+    with pytest.raises(sp.DegenerateSpectrumError, match="alternation"):
+        sp.solve(hm)
+
+
+def test_solve_calls_eigh_tridiagonal_by_attribute(stemr_values):
+    # bench/spans.py times the solve by wrapping this attribute
+    solve_potential(sp.named("harmonic"), -8, 8, 199)
+    assert len(stemr_values) == 2
+    solve_potential(sp.named("quartic_cubic"), -10, 10, 199)
+    assert len(stemr_values) == 3
+    from specparity.schrodinger import DEGENERACY_RTOL
+
+    assert DEGENERACY_RTOL > 0
+
+
+def _fix_signs_reference(modes):
+    n = modes.shape[1]
+    thresh = 1e-8 * np.abs(modes).max(axis=0)
+    first = (np.abs(modes) > thresh[np.newaxis, :]).argmax(axis=0)
+    signs = np.sign(modes[first, np.arange(n)])
+    signs[signs == 0] = 1.0
+    return modes * signs
+
+
+@pytest.mark.parametrize("case", ["folded", "asymmetric"])
+def test_fix_signs_in_place_is_bitwise_the_whole_array_formula(case):
+    if case == "folded":
+        hm = sp.assemble(DOUBLE_WELL, sp.make_grid(-8, 8, 399))
+        _, raw = schrodinger._solve_folded(hm)
+    else:
+        hm = sp.assemble(sp.named("quartic_cubic"), sp.make_grid(-10, 10, 199))
+        _, raw = schrodinger._eigh_tridiagonal(hm.diag, hm.offdiag)
+    raw = raw * np.where(np.arange(hm.n) % 3, 1.0, -1.0)  # some columns start negative
+    raw[:, 0] = 0.0  # no significant entry at all
+    raw[:, 1] = 0.0
+    raw[-1, 1] = -1.0  # first significant entry in the last row block
+    expected = _fix_signs_reference(raw)
+    schrodinger._fix_signs(raw)
+    assert raw.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["harmonic", "quartic_cubic"])
+def test_solve_allocates_modes_plus_one_block(name):
+    # the folded solve holds U and one half-size block's vectors (1.25 x 8n^2);
+    # the asymmetric one holds U and one row block of _fix_signs' search
+    n = 400
+    hm = sp.assemble(sp.named(name), sp.make_grid(-8, 8, n))
+    sp.solve(hm)  # first-call allocations (imports, caches) are not the solve's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sp.solve(hm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (peak - base) / (8.0 * n * n)
+    assert arrays <= 1.4, f"solve allocated {arrays:.2f} n x n arrays"
