@@ -54,6 +54,8 @@ def make_grid(x_min: float, x_max: float, n: int) -> Grid:
     n = int(n)
     if not (x_min < x_max):
         raise InvalidDomainError(f"need x_min < x_max, got [{x_min}, {x_max}]")
+    if not np.isfinite(x_max - x_min):  # also an infinite bound
+        raise InvalidDomainError(f"need finite bounds and width, got [{x_min}, {x_max}]")
     if n < 2:
         raise InvalidDomainError(f"need at least 2 interior points, got n={n}")
     h = (x_max - x_min) / (n + 1)

@@ -141,6 +141,11 @@ def _mode_block(s: Spectrum, truncate: int | None) -> np.ndarray:
     return s.modes[:, :truncate]
 
 
+def _dyad_rows(block: np.ndarray, weights, rows: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` of the real dyad sum sum_n weights_n u_n u_n^T over the columns of block."""
+    return (block[rows] * weights) @ block.T
+
+
 def build_graded(s: Spectrum, w, truncate: int | None = None) -> OperatorKernel:
     """Grading operator A = sum_n w_n u_n u_n^T for unimodular weights."""
     if not isinstance(w, GradingWeights):
@@ -152,10 +157,10 @@ def build_graded(s: Spectrum, w, truncate: int | None = None) -> OperatorKernel:
         )
     if np.iscomplexobj(w.values):
         # block is real: two real GEMMs instead of one complex @ real product
-        action = ((block * w.values.real) @ block.T).astype(complex)
-        action.imag = (block * w.values.imag) @ block.T
+        action = _dyad_rows(block, w.values.real).astype(complex)
+        action.imag = _dyad_rows(block, w.values.imag)
     else:
-        action = (block * w.values) @ block.T
+        action = _dyad_rows(block, w.values)
     return OperatorKernel(grid=s.grid, action=action, truncated=truncate is not None)
 
 
@@ -178,9 +183,7 @@ def build_triparity(s: Spectrum, branch: int = +1, truncate: int | None = None) 
 
 def reconstruct_hamiltonian(s: Spectrum) -> OperatorKernel:
     """Energy-weighted dyad sum; must reproduce the assembled tridiagonal."""
-    block = _mode_block(s, None)
-    action = (block * s.energies) @ block.T
-    return OperatorKernel(grid=s.grid, action=action)
+    return OperatorKernel(grid=s.grid, action=_dyad_rows(_mode_block(s, None), s.energies))
 
 
 def reflection_action(grid: Grid) -> OperatorKernel:

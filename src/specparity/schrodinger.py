@@ -109,17 +109,19 @@ class HamiltonianMatrix:
         out[above - start :] += self.offdiag[above - 1 : stop - 1][cols] * f[above - 1 : stop - 1]
         return out
 
-    def subtract_from(self, a: np.ndarray) -> np.ndarray:
-        """a - T for a dense (n, n) array, subtracting the three bands only."""
-        if a.shape != (self.n, self.n):
-            raise GridMismatchError(f"array has shape {a.shape}, expected ({self.n}, {self.n})")
-        out = np.array(a, order="C")
-        flat = out.reshape(-1)  # a view: diagonals are strided slices of it
-        step = self.n + 1
-        flat[::step] -= self.diag
-        flat[1::step] -= self.offdiag
-        flat[self.n::step] -= self.offdiag
-        return out
+    def subtract_from(self, a: np.ndarray, first_row: int = 0) -> np.ndarray:
+        """a - T in place, for a holding rows first_row.. of an (n, n) array.
+
+        Only the three bands are subtracted; row i of a meets the diagonal in
+        column first_row + i, as in ``_identity_defect``.
+        """
+        n, stop, step = self.n, first_row + len(a), self.n + 1
+        if a.ndim != 2 or a.shape[1] != n or not 0 <= first_row < stop <= n:
+            raise GridMismatchError(f"array of shape {a.shape} is not rows {first_row}.. of ({n}, {n})")
+        a.flat[first_row::step] -= self.diag[first_row:stop]
+        a.flat[first_row + 1 :: step] -= self.offdiag[first_row : min(stop, n - 1)]
+        a.flat[first_row - 1 if first_row else n :: step] -= self.offdiag[max(first_row - 1, 0) : stop - 1]
+        return a
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,64 @@ def test_verify_rejects_unknown_tolerance(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag", ["completeness=inf", "completeness=nan", "completeness=0", "completeness=-1e-3", "completeness=abc"]
+)
+def test_verify_rejects_a_bad_tolerance_flag(tmp_path, flag):
+    code = run_cli(
+        ["verify", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--n", 99,
+         "--out", tmp_path, "--tol", flag]
+    )
+    assert code == 2
+    assert not (tmp_path / "report.json").exists()
+
+
+# 1e400 parses as inf; "abc" and true are no reals
+@pytest.mark.parametrize("value", ["abc", 1e400, 0, -1e-3, True, None, [1e-3]])
+def test_verify_rejects_a_bad_config_tolerance_before_solving(tmp_path, capsys, monkeypatch, value):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"suite": {"tolerances": {"completeness": value}}}).replace("Infinity", "1e400"))
+    monkeypatch.setattr(sp.verify, "solve", None)  # a solve would raise TypeError, exit 3
+    code = run_cli(
+        ["verify", "--config", cfg, "--potential", "harmonic", "--xmin", -8, "--xmax", 8,
+         "--n", 99, "--out", tmp_path]
+    )
+    assert code == 2
+    assert "completeness" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_verify_rejects_an_unknown_config_tolerance(tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"suite": {"tolerances": {"bogus": 1e-3}}}))
+    code = run_cli(
+        ["verify", "--config", cfg, "--potential", "harmonic", "--xmin", -8, "--xmax", 8,
+         "--n", 99, "--out", tmp_path]
+    )
+    assert code == 2
+
+
+@pytest.mark.parametrize("spacings", ["0,0.1,0.2", "0.2,0.1,-0.05", "0.2,0.1,inf", "0.2,0.1,nan"])
+def test_sweep_rejects_a_bad_spacing_flag(tmp_path, spacings):
+    code = run_cli(
+        ["sweep", "--potential", "harmonic", "--xmin", -8, "--xmax", 8,
+         "--sweep-h", spacings, "--out", tmp_path]
+    )
+    assert code == 2
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("last", [0, -0.05, 1e400, "0.05", None, True])
+def test_sweep_rejects_a_bad_config_spacing(tmp_path, capsys, last):
+    cfg = tmp_path / "exp.json"
+    doc = {"potential": {"named": "harmonic"}, "grid": {"x_min": -8, "x_max": 8},
+           "sweep": {"h_values": [0.2, 0.1, last]}}
+    cfg.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+    assert run_cli(["sweep", "--config", cfg, "--out", tmp_path]) == 2
+    assert "sweep spacing" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_verify_reports_are_reproducible(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

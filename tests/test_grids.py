@@ -44,6 +44,16 @@ def test_make_grid_rejects_bad_domains(bad):
         sp.make_grid(*bad)
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [(-np.inf, 8), (-8, np.inf), (-np.inf, np.inf), (np.nan, 8), (-8, np.nan), (-1e308, 1e308)],
+)
+def test_make_grid_rejects_non_finite_bounds(bounds):
+    # an infinite bound (or a width that overflows) would give h = inf and NaN points
+    with pytest.raises(sp.InvalidDomainError):
+        sp.make_grid(*bounds, 5)
+
+
 def test_make_grid_rejects_non_integer_n():
     with pytest.raises(sp.InvalidDomainError):
         sp.make_grid(-1, 1, 2.5)

@@ -166,10 +166,22 @@ def test_matvec_on_a_block_matches_dense(qc_199):
 def test_band_subtraction_matches_dense(qc_199):
     hm = sp.assemble(sp.named("quartic_cubic"), qc_199.grid)
     recon = sp.reconstruct_hamiltonian(qc_199).action
-    assert np.array_equal(hm.subtract_from(recon), recon - hm.to_dense())
+    dense = recon - hm.to_dense()
+    whole = recon.copy()
+    assert hm.subtract_from(whole) is whole  # overwritten in place
+    assert np.array_equal(whole, dense)
     assert np.array_equal(hm.subtract_from(hm.to_dense()), np.zeros((199, 199)))
+    # row blocks, including single rows at both ends and blocks whose edges
+    # cut the off-diagonals of T
+    for start, stop in ((0, 1), (0, 25), (25, 50), (97, 98), (120, 198), (198, 199)):
+        block = recon[start:stop].copy()
+        assert np.array_equal(hm.subtract_from(block, start), dense[start:stop])
     with pytest.raises(sp.GridMismatchError):
-        hm.subtract_from(recon[:, :198])
+        hm.subtract_from(recon[:, :198].copy())
+    with pytest.raises(sp.GridMismatchError):
+        hm.subtract_from(recon[:10].copy(), 190)  # runs past the last row
+    with pytest.raises(sp.GridMismatchError):
+        hm.subtract_from(recon[0].copy())
 
 
 def test_reconstruction_of_hand_solved_2x2(box_2x2):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import specparity as sp
-from specparity.verify import reflection_defect
+from specparity.verify import _reconstruction_defect, reflection_defect
 
 from test_verify import _dense_alternation, dense_commutator
 
@@ -124,6 +124,26 @@ def test_commutator_reads_the_halo_rows_at_block_edges(n, weight):
     assert dense > lower * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_streamed_reconstruction_matches_the_dense_formula(n):
+    hm, s = _solved(n)
+
+    def dense(t):
+        return np.abs(sp.reconstruct_hamiltonian(s).action - t.to_dense()).max() / t.norm_max
+
+    assert _reconstruction_defect(s, hm) == pytest.approx(dense(hm), abs=1e-13)
+    # Move the off-diagonal of T that couples the last row of one block to
+    # the first row of the next: its two entries then decide the maximum,
+    # and a block that subtracted the wrong band entry there would miss it.
+    step = -(-n // 8)
+    edge = step * round(n / 2 / step)  # first row of a block near the middle
+    offdiag = hm.offdiag.copy()
+    offdiag[edge - 1] += 1e-6 * hm.norm_max
+    moved = sp.HamiltonianMatrix(grid=hm.grid, diag=hm.diag, offdiag=offdiag)
+    assert dense(moved) == pytest.approx(1e-6 * hm.norm_max / moved.norm_max, rel=1e-6)
+    assert _reconstruction_defect(s, moved) == pytest.approx(dense(moved), rel=1e-9)
+
+
 def test_check_order_is_the_common_identity_check(harmonic_199):
     q = sp.build_triparity(harmonic_199)
     assert sp.check_order(q, 3) == sp.check_cube(q)
@@ -194,3 +214,27 @@ def test_check_allocates_at_most_its_budget(budget_case, name):
         tracemalloc.stop()
     arrays = (peak - base) / (8.0 * BUDGET_N * BUDGET_N)
     assert arrays <= BUDGET_ARRAYS, f"{name} allocated {arrays:.2f} n x n arrays"
+
+
+# The suite keeps one grading operator alive at a time and never forms the
+# reconstruction: its peak is the triparity build, whose real product and
+# complex copy are 3 x 8n^2, plus the streamed checks. Holding P through
+# the triparity build, or a whole reconstruction, costs one more n x n array.
+SUITE_BUDGET_ARRAYS = 4.25
+
+
+@pytest.mark.parametrize("name, x_max", [("harmonic", 8), ("quartic_cubic", 10)])
+def test_suite_allocates_at_most_its_budget(name, x_max):
+    v, grid = sp.named(name), sp.make_grid(-x_max, x_max, BUDGET_N)
+    s = sp.solve(sp.assemble(v, grid))
+    sp.run_suite(v, grid, spectrum=s)  # first-call allocations are not the suite's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = sp.run_suite(v, grid, spectrum=s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    arrays = (peak - base) / (8.0 * BUDGET_N * BUDGET_N)
+    assert arrays <= SUITE_BUDGET_ARRAYS, f"run_suite allocated {arrays:.2f} n x n arrays"
