@@ -14,6 +14,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,6 +93,29 @@ def _n_for_spacing(x_min: float, x_max: float, h) -> int:
     return int(round((x_max - x_min) / h)) - 1
 
 
+def _section(doc: dict, key: str) -> dict:
+    """The config object ``doc[key]``, or {} when it is absent."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
+def _entries(doc: dict, key: str) -> list:
+    """The config list ``doc[key]``."""
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"config {key!r} must be a JSON list, got {value!r}")
+    return value
+
+
+def _count(value, label: str) -> int:
+    """A count from the config file: a JSON integer, and neither a bool nor a float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{label} must be an integer, got {value!r}")
+    return value
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -107,9 +131,9 @@ def _load_config_file(path: str) -> dict:
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     doc = _load_config_file(args.config) if args.config else {}
-    grid_doc = doc.get("grid", {})
-    suite_doc = doc.get("suite", {})
-    sweep_doc = doc.get("sweep", {})
+    grid_doc = _section(doc, "grid")
+    suite_doc = _section(doc, "suite")
+    sweep_doc = _section(doc, "sweep")
 
     # potential: flags win over the file; --poly and --potential are exclusive
     if args.poly is not None and args.potential is not None:
@@ -140,14 +164,14 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     elif getattr(args, "sweep_h", None) is not None:
         sweep_n = [_n_for_spacing(x_min, x_max, h) for h in _parse_number_list(args.sweep_h, float)]
     elif "n_values" in sweep_doc:
-        sweep_n = [int(k) for k in sweep_doc["n_values"]]
+        sweep_n = [_count(k, "sweep.n_values entry") for k in _entries(sweep_doc, "n_values")]
     elif "h_values" in sweep_doc:
-        sweep_n = [_n_for_spacing(x_min, x_max, h) for h in sweep_doc["h_values"]]
+        sweep_n = [_n_for_spacing(x_min, x_max, h) for h in _entries(sweep_doc, "h_values")]
 
     if args.n is not None:
         n = int(args.n)
     elif grid_doc.get("n") is not None:
-        n = int(grid_doc["n"])
+        n = _count(grid_doc["n"], "grid.n")
     elif sweep_n:
         n = max(sweep_n)
     else:
@@ -161,25 +185,33 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if isinstance(trunc_text, str) and trunc_text.lower() == "full":
         truncate = None
     else:
-        try:
-            truncate = int(trunc_text)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"--truncate expects an integer or 'full', got {trunc_text!r}") from exc
+        if args.truncate is not None:  # flag text; a file value must be a JSON integer
+            with suppress(ValueError):
+                trunc_text = int(trunc_text)
+        truncate = _count(trunc_text, "--truncate (or 'full')")
         if truncate < 1:
             raise ConfigError(f"--truncate must be >= 1, got {truncate}")
 
-    tolerances = {name: _tolerance(name, val) for name, val in suite_doc.get("tolerances", {}).items()}
+    tolerances = {name: _tolerance(name, val) for name, val in _section(suite_doc, "tolerances").items()}
     tolerances.update(_parse_tol_overrides(args.tol))
 
-    jobs = int(args.jobs if args.jobs is not None else doc.get("jobs", 1))
+    jobs = args.jobs if args.jobs is not None else _count(doc.get("jobs", 1), "jobs")
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
 
-    kernels_text = getattr(args, "kernels", None) or ",".join(doc.get("kernels", ["P"]))
-    kernels = tuple(tok.strip().upper() for tok in kernels_text.split(",") if tok.strip())
+    kernels_text = getattr(args, "kernels", None)
+    if kernels_text:
+        kernels = [tok for tok in kernels_text.split(",") if tok.strip()]
+    else:
+        kernels = _entries(doc, "kernels") if "kernels" in doc else ["P"]
     for k in kernels:
-        if k not in ("P", "Q"):
-            raise ConfigError(f"--kernels entries must be P or Q, got {k!r}")
+        if not isinstance(k, str) or k.strip().upper() not in ("P", "Q"):
+            raise ConfigError(f"kernels must be P or Q, got {k!r}")
+    kernels = tuple(k.strip().upper() for k in kernels)
+
+    save_modes = doc.get("save_modes", False)
+    if not isinstance(save_modes, bool):
+        raise ConfigError(f"config 'save_modes' must be true or false, got {save_modes!r}")
 
     out = Path(args.out if args.out is not None else doc.get("out", "."))
     try:
@@ -200,7 +232,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         sweep_n=sweep_n,
         out=out,
         jobs=jobs,
-        save_modes=bool(getattr(args, "save_modes", False) or doc.get("save_modes", False)),
+        save_modes=getattr(args, "save_modes", False) or save_modes,
         kernels=kernels,
     )
 

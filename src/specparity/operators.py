@@ -26,7 +26,7 @@ from .errors import (
     TruncatedSpectrumError,
 )
 from .grids import Grid, require_same_grid
-from .schrodinger import Spectrum
+from .schrodinger import Spectrum, _row_blocks
 from .serial import fmt_rows
 
 UNIT_MODULUS_TOL = 1e-12
@@ -147,7 +147,14 @@ def _dyad_rows(block: np.ndarray, weights, rows: slice = slice(None)) -> np.ndar
 
 
 def build_graded(s: Spectrum, w, truncate: int | None = None) -> OperatorKernel:
-    """Grading operator A = sum_n w_n u_n u_n^T for unimodular weights."""
+    """Grading operator A = sum_n w_n u_n u_n^T for unimodular weights.
+
+    Complex weights are written one row block at a time: each block's real
+    and imaginary dyad sums go straight into the parts of one preallocated
+    complex A, so no whole real product is held beside it. The blocked
+    products match the whole ones to rounding, not bit for bit. Real
+    weights take one GEMM over all rows.
+    """
     if not isinstance(w, GradingWeights):
         w = GradingWeights(np.asarray(w))
     block = _mode_block(s, truncate)
@@ -156,9 +163,11 @@ def build_graded(s: Spectrum, w, truncate: int | None = None) -> OperatorKernel:
             f"got {len(w)} weights for {block.shape[1]} modes"
         )
     if np.iscomplexobj(w.values):
-        # block is real: two real GEMMs instead of one complex @ real product
-        action = _dyad_rows(block, w.values.real).astype(complex)
-        action.imag = _dyad_rows(block, w.values.imag)
+        n = block.shape[0]
+        action = np.empty((n, n), complex)
+        for rows in _row_blocks(n):  # block is real: two real GEMMs per row block
+            action.real[rows] = _dyad_rows(block, w.values.real, rows)
+            action.imag[rows] = _dyad_rows(block, w.values.imag, rows)
     else:
         action = _dyad_rows(block, w.values)
     return OperatorKernel(grid=s.grid, action=action, truncated=truncate is not None)

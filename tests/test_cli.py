@@ -335,6 +335,55 @@ def test_config_file_must_be_valid(tmp_path):
     assert run_cli(["verify", "--config", missing]) == 2
 
 
+# One JSON type mistake per config file: the command, the file, and whether
+# the flags give n (a case about the file's n must not).
+BAD_CONFIG_TYPES = {
+    "suite_a_string": ("verify", {"suite": "x"}, True),
+    "grid_a_string": ("verify", {"grid": "x"}, True),
+    "tolerances_a_list": ("verify", {"suite": {"tolerances": [1]}}, True),
+    "sweep_a_string": ("sweep", {"sweep": "n_values"}, False),
+    "n_values_a_string": ("sweep", {"sweep": {"n_values": "49,99,199"}}, False),
+    "n_values_entry_a_float": ("sweep", {"sweep": {"n_values": [49, 99.9, 199]}}, False),
+    "h_values_a_number": ("sweep", {"sweep": {"h_values": 0.1}}, False),
+    "n_a_float": ("solve", {"grid": {"n": 9.7}}, False),
+    "n_a_bool": ("solve", {"grid": {"n": True}}, False),
+    "n_a_string": ("solve", {"grid": {"n": "9"}}, False),
+    "jobs_a_float": ("sweep", {"jobs": 2.5, "sweep": {"n_values": [49, 99, 199]}}, False),
+    "truncate_a_float": ("verify", {"suite": {"truncate": 5.5}}, True),
+    "save_modes_a_string": ("solve", {"save_modes": "false"}, True),
+    "kernels_a_string": ("export-kernel", {"kernels": "PQ"}, True),
+    "kernels_a_string_with_a_bad_letter": ("export-kernel", {"kernels": "PQR"}, True),
+    "kernels_entry_a_number": ("export-kernel", {"kernels": [1]}, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_TYPES))
+def test_config_of_the_wrong_json_type_exits_2_before_solving(tmp_path, capsys, monkeypatch, case):
+    command, doc, n_flag = BAD_CONFIG_TYPES[case]
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    monkeypatch.setattr(sp.cli, "solve", None)  # a solve would raise TypeError, exit 3
+    monkeypatch.setattr(sp.verify, "solve", None)
+    out = tmp_path / "out"
+    out.mkdir()
+    flags = ["--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--out", out]
+    assert run_cli([command, "--config", cfg, *flags, *(["--n", 49] if n_flag else [])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "'R'" not in err  # the message quotes what the file holds
+    assert not any(out.iterdir())
+
+
+def test_config_kernels_list_and_save_modes_are_honoured(tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"kernels": ["Q"], "save_modes": True}))
+    flags = ["--config", cfg, "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--n", 9, "--out", tmp_path]
+    assert run_cli(["export-kernel", *flags]) == 0
+    assert sorted(p.name for p in tmp_path.glob("kernel_*")) == ["kernel_Q.csv", "kernel_Q.txt"]
+    assert run_cli(["solve", *flags]) == 0
+    assert (tmp_path / "spectrum.csv").read_text().startswith("n,E,phi_0,")
+
+
 def test_sweep_harmonic_observed_order(tmp_path, capsys):
     code = run_cli(
         ["sweep", "--potential", "harmonic", "--xmin", -8, "--xmax", 8,

@@ -1,9 +1,10 @@
-"""The streamed checks against their dense formulas, and their memory budget.
+"""The streamed checks and builds against their dense formulas, and their memory budget.
 
 Every check that used to hold n x n temporaries now works through eight row
-blocks of ceil(n/8) rows. These tests pin the blocked results to the dense
-formulas at sizes where the blocks are single rows (n=5), uneven (n=9, 199)
-and even (n=200), and bound what each check allocates.
+blocks of ceil(n/8) rows, and so does the build of a complex grading. These
+tests pin the blocked results to the dense formulas at sizes where the
+blocks are single rows (n=5), uneven (n=9, 199) and even (n=200), and bound
+what each check and the triparity build allocate.
 """
 import tracemalloc
 
@@ -39,6 +40,27 @@ def case(request):
         "random_complex": sp.OperatorKernel(grid=s.grid, action=cplx),
     }
     return hm, s, kernels
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("truncated", [False, True])
+def test_graded_build_matches_the_whole_dyad_sum(n, truncated):
+    # A complex grading is written one row block at a time, so it may
+    # differ from the whole two-GEMM product at rounding level; a real
+    # grading is one GEMM, equal to the whole product bit for bit.
+    hm, s = _solved(n)
+    m = n // 2 + 1 if truncated else n
+    truncate = m if truncated else None
+    u = s.modes[:, :m]
+    for branch in (+1, -1):
+        w = sp.GradingWeights.cube_roots(m, branch).values
+        q = sp.build_triparity(s, branch, truncate=truncate).action
+        whole = np.empty((n, n), complex)
+        whole.real = (u * w.real) @ u.T
+        whole.imag = (u * w.imag) @ u.T
+        assert np.abs(q - whole).max() <= 1e-15
+    w = sp.GradingWeights.alternating(m).values
+    assert np.array_equal(sp.build_parity(s, truncate=truncate).action, (u * w) @ u.T)
 
 
 def test_elementwise_checks_equal_the_dense_formulas(case):
@@ -201,40 +223,52 @@ BUDGET_CHECKS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BUDGET_CHECKS))
-def test_check_allocates_at_most_its_budget(budget_case, name):
-    check = BUDGET_CHECKS[name]
-    check(*budget_case)  # first-call allocations (imports, caches) are not the check's
+def _allocated_arrays(fn, *args):
+    """fn(*args) and the peak it allocates, in n x n float64 arrays at BUDGET_N.
+
+    A first call runs untraced: first-call allocations (imports, caches)
+    are not the function's.
+    """
+    fn(*args)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        check(*budget_case)
+        result = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = (peak - base) / (8.0 * BUDGET_N * BUDGET_N)
+    return result, (peak - base) / (8.0 * BUDGET_N * BUDGET_N)
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_CHECKS))
+def test_check_allocates_at_most_its_budget(budget_case, name):
+    _, arrays = _allocated_arrays(BUDGET_CHECKS[name], *budget_case)
     assert arrays <= BUDGET_ARRAYS, f"{name} allocated {arrays:.2f} n x n arrays"
 
 
+# The triparity build holds its complex action (2 x 8n^2) and one row
+# block's scaled modes and product for each part; building the whole real
+# product and its complex copy would cost 4 x 8n^2.
+BUILD_BUDGET_ARRAYS = 2.5
+
+
+def test_triparity_build_allocates_at_most_its_budget(budget_case):
+    _, arrays = _allocated_arrays(sp.build_triparity, budget_case[1])
+    assert arrays <= BUILD_BUDGET_ARRAYS, f"build_triparity allocated {arrays:.2f} n x n arrays"
+
+
 # The suite keeps one grading operator alive at a time and never forms the
-# reconstruction: its peak is the triparity build, whose real product and
-# complex copy are 3 x 8n^2, plus the streamed checks. Holding P through
-# the triparity build, or a whole reconstruction, costs one more n x n array.
-SUITE_BUDGET_ARRAYS = 4.25
+# reconstruction: its peak is the triparity stage, the complex Q (2 x 8n^2)
+# written one row block at a time, plus the streamed checks on Q. A whole
+# product in the triparity build, P held through it, or a whole
+# reconstruction each cost at least one more n x n array.
+SUITE_BUDGET_ARRAYS = 3.0
 
 
 @pytest.mark.parametrize("name, x_max", [("harmonic", 8), ("quartic_cubic", 10)])
 def test_suite_allocates_at_most_its_budget(name, x_max):
     v, grid = sp.named(name), sp.make_grid(-x_max, x_max, BUDGET_N)
     s = sp.solve(sp.assemble(v, grid))
-    sp.run_suite(v, grid, spectrum=s)  # first-call allocations are not the suite's
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        report = sp.run_suite(v, grid, spectrum=s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, arrays = _allocated_arrays(lambda: sp.run_suite(v, grid, spectrum=s))
     assert report.passed
-    arrays = (peak - base) / (8.0 * BUDGET_N * BUDGET_N)
     assert arrays <= SUITE_BUDGET_ARRAYS, f"run_suite allocated {arrays:.2f} n x n arrays"
