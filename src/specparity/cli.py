@@ -25,7 +25,7 @@ from .grids import Grid, make_grid
 from .operators import build_parity, build_triparity, write_kernel_csv, write_kernel_txt
 from .potentials import NAMED_POTENTIALS, Potential, is_even, named, polynomial
 from .schrodinger import Spectrum, assemble, solve
-from .serial import fmt_float
+from .serial import fmt_float, fmt_rows
 from .verify import _tolerance, reflection_defect, run_suite
 
 EXIT_OK = 0
@@ -59,9 +59,11 @@ def _parse_potential_spec(spec) -> Potential:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError(f"potential spec must be {{'named': ...}} or {{'poly': [...]}}, got {spec!r}")
     if "named" in spec:
+        if not isinstance(spec["named"], str):
+            raise ConfigError(f"potential.named must be a string, got {spec['named']!r}")
         return named(spec["named"])
     if "poly" in spec:
-        return polynomial(spec["poly"])
+        return polynomial([_real(c, "potential.poly entry") for c in _entries(spec["poly"], "potential.poly")])
     raise ConfigError(f"unknown potential spec {spec!r}")
 
 
@@ -93,19 +95,20 @@ def _n_for_spacing(x_min: float, x_max: float, h) -> int:
     return int(round((x_max - x_min) / h)) - 1
 
 
-def _section(doc: dict, key: str) -> dict:
-    """The config object ``doc[key]``, or {} when it is absent."""
-    value = doc.get(key, {})
+def _section(value, label: str, known: str | None = None) -> dict:
+    """A config object, which must hold only the keys named in ``known`` (any when None)."""
     if not isinstance(value, dict):
-        raise ConfigError(f"config {key!r} must be a JSON object, got {value!r}")
+        raise ConfigError(f"config {label!r} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(known.split())) if known is not None else []
+    if unknown:
+        raise ConfigError(f"config {label!r} has unknown key(s) {unknown} (known: {known})")
     return value
 
 
-def _entries(doc: dict, key: str) -> list:
-    """The config list ``doc[key]``."""
-    value = doc[key]
+def _entries(value, label: str) -> list:
+    """A config list."""
     if not isinstance(value, list):
-        raise ConfigError(f"config {key!r} must be a JSON list, got {value!r}")
+        raise ConfigError(f"config {label!r} must be a JSON list, got {value!r}")
     return value
 
 
@@ -116,6 +119,13 @@ def _count(value, label: str) -> int:
     return value
 
 
+def _real(value, label: str) -> float:
+    """A real from the config file: a JSON number, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{label} must be a number, got {value!r}")
+    return float(value)
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -124,16 +134,16 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return doc
+    return _section(doc, path, "potential grid suite sweep out jobs save_modes kernels")
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     doc = _load_config_file(args.config) if args.config else {}
-    grid_doc = _section(doc, "grid")
-    suite_doc = _section(doc, "suite")
-    sweep_doc = _section(doc, "sweep")
+    grid_doc = _section(doc.get("grid", {}), "grid", "x_min x_max n")
+    suite_doc = _section(doc.get("suite", {}), "suite", "omega_branch truncate tolerances")
+    sweep_doc = _section(doc.get("sweep", {}), "sweep", "n_values h_values")
+    if len(sweep_doc) > 1:
+        raise ConfigError("config 'sweep' must give either n_values or h_values, not both")
 
     # potential: flags win over the file; --poly and --potential are exclusive
     if args.poly is not None and args.potential is not None:
@@ -147,15 +157,14 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     else:
         raise ConfigError("no potential given (use --potential, --poly, or a config file)")
 
-    def pick(flag_value, file_value, label, caster):
+    def bound(flag_value, key):
         if flag_value is not None:
-            return caster(flag_value)
-        if file_value is not None:
-            return caster(file_value)
-        raise ConfigError(f"missing {label} (flag or config file)")
+            return float(flag_value)
+        if grid_doc.get(key) is None:
+            raise ConfigError(f"missing --{key.replace('_', '')} (flag or config file)")
+        return _real(grid_doc[key], f"grid.{key}")
 
-    x_min = pick(args.xmin, grid_doc.get("x_min"), "--xmin", float)
-    x_max = pick(args.xmax, grid_doc.get("x_max"), "--xmax", float)
+    x_min, x_max = bound(args.xmin, "x_min"), bound(args.xmax, "x_max")
     sweep_n = None
     if getattr(args, "sweep_n", None) is not None and getattr(args, "sweep_h", None) is not None:
         raise ConfigError("give either --sweep-n or --sweep-h, not both")
@@ -164,9 +173,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     elif getattr(args, "sweep_h", None) is not None:
         sweep_n = [_n_for_spacing(x_min, x_max, h) for h in _parse_number_list(args.sweep_h, float)]
     elif "n_values" in sweep_doc:
-        sweep_n = [_count(k, "sweep.n_values entry") for k in _entries(sweep_doc, "n_values")]
+        sweep_n = [_count(k, "sweep.n_values entry") for k in _entries(sweep_doc["n_values"], "sweep.n_values")]
     elif "h_values" in sweep_doc:
-        sweep_n = [_n_for_spacing(x_min, x_max, h) for h in _entries(sweep_doc, "h_values")]
+        sweep_n = [_n_for_spacing(x_min, x_max, h) for h in _entries(sweep_doc["h_values"], "sweep.h_values")]
 
     if args.n is not None:
         n = int(args.n)
@@ -177,9 +186,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     else:
         raise ConfigError("missing --n (flag or config file)")
 
-    branch_text = args.omega_branch or suite_doc.get("omega_branch") or "+"
+    branch_text = args.omega_branch if args.omega_branch is not None else suite_doc.get("omega_branch", "+")
     if branch_text not in ("+", "-"):
-        raise ConfigError(f"--omega-branch must be '+' or '-', got {branch_text!r}")
+        raise ConfigError(f"suite.omega_branch must be '+' or '-', got {branch_text!r}")
 
     trunc_text = args.truncate if args.truncate is not None else suite_doc.get("truncate", "full")
     if isinstance(trunc_text, str) and trunc_text.lower() == "full":
@@ -188,11 +197,12 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         if args.truncate is not None:  # flag text; a file value must be a JSON integer
             with suppress(ValueError):
                 trunc_text = int(trunc_text)
-        truncate = _count(trunc_text, "--truncate (or 'full')")
+        truncate = _count(trunc_text, "--truncate / suite.truncate (or 'full')")
         if truncate < 1:
             raise ConfigError(f"--truncate must be >= 1, got {truncate}")
 
-    tolerances = {name: _tolerance(name, val) for name, val in _section(suite_doc, "tolerances").items()}
+    tolerances = _section(suite_doc.get("tolerances", {}), "suite.tolerances")
+    tolerances = {name: _tolerance(name, val) for name, val in tolerances.items()}
     tolerances.update(_parse_tol_overrides(args.tol))
 
     jobs = args.jobs if args.jobs is not None else _count(doc.get("jobs", 1), "jobs")
@@ -203,7 +213,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if kernels_text:
         kernels = [tok for tok in kernels_text.split(",") if tok.strip()]
     else:
-        kernels = _entries(doc, "kernels") if "kernels" in doc else ["P"]
+        kernels = _entries(doc["kernels"], "kernels") if "kernels" in doc else ["P"]
     for k in kernels:
         if not isinstance(k, str) or k.strip().upper() not in ("P", "Q"):
             raise ConfigError(f"kernels must be P or Q, got {k!r}")
@@ -213,7 +223,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if not isinstance(save_modes, bool):
         raise ConfigError(f"config 'save_modes' must be true or false, got {save_modes!r}")
 
-    out = Path(args.out if args.out is not None else doc.get("out", "."))
+    out = args.out if args.out is not None else doc.get("out", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"config 'out' must be a string, got {out!r}")
+    out = Path(out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -242,13 +255,11 @@ def _write_spectrum_csv(s: Spectrum, path: Path, save_modes: bool) -> None:
         if save_modes:
             fh.write("n,E," + ",".join(f"phi_{i}" for i in range(s.grid.n)) + "\n")
             scale = np.sqrt(s.grid.h)  # phi_k = u_k / sqrt(h), one column at a time
-            for k in range(s.n_modes):
-                samples = ",".join(fmt_float(x) for x in s.modes[:, k] / scale)
-                fh.write(f"{k},{fmt_float(s.energies[k])},{samples}\n")
+            rows = (np.r_[k, s.energies[k], s.modes[:, k] / scale] for k in range(s.n_modes))
         else:
             fh.write("n,E\n")
-            for k in range(s.n_modes):
-                fh.write(f"{k},{fmt_float(s.energies[k])}\n")
+            rows = (np.r_[k, s.energies[k]] for k in range(s.n_modes))
+        fh.writelines(fmt_rows(rows, ","))
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
@@ -292,10 +303,21 @@ def _sweep_point(cfg: ExperimentConfig, n: int):
     return grid, spectrum
 
 
+def _sweep_row(grid: Grid, spectrum: Spectrum, levels: int, even: bool, truncate: int | None) -> tuple:
+    """n, h, E_0.., ||P - J|| (even V), m, and ||P_m - J|| (even V) or ||P_m - P||."""
+    refl = reflection_defect(build_parity(spectrum)) if even else None
+    trunc_resid = None
+    if truncate is not None:
+        trunc = build_parity(spectrum, truncate=truncate)
+        trunc_resid = (reflection_defect(trunc) if even
+                       else float(np.abs(trunc.action - build_parity(spectrum).action).max()))
+    return grid.n, grid.h, spectrum.energies[:levels], refl, truncate, trunc_resid
+
+
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     if not cfg.sweep_n or len(cfg.sweep_n) < 3:
         raise ConfigError("sweep needs at least 3 grid sizes (--sweep-n or config)")
-    ns = sorted(set(int(k) for k in cfg.sweep_n))
+    ns = sorted(set(cfg.sweep_n))
     if len(ns) < 3:
         raise ConfigError("sweep needs at least 3 distinct grid sizes")
     if cfg.truncate is not None and cfg.truncate > min(ns):
@@ -303,12 +325,20 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             f"--truncate {cfg.truncate} exceeds the smallest sweep size {min(ns)}"
         )
     levels = min(10, min(ns))
+    first = make_grid(cfg.x_min, cfg.x_max, ns[0])
+    even = first.symmetric and is_even(cfg.potential, first)
 
+    # The pool only solves. This thread turns each spectrum into its row as
+    # it arrives, in n order, and builds the parity operators itself: builds
+    # in the workers would leave their freed arrays in per-thread malloc arenas.
+    rows = []
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        points = list(pool.map(lambda n: _sweep_point(cfg, n), ns))
+        for point in pool.map(lambda n: _sweep_point(cfg, n), ns):
+            rows.append(_sweep_row(*point, levels, even, cfg.truncate))
+            del point  # no spectrum is held while the next one is awaited
 
-    hs = np.array([g.h for g, _ in points])
-    energies = np.array([s.energies[:levels] for _, s in points])
+    hs = np.array([row[1] for row in rows])
+    energies = np.array([row[2] for row in rows])
     # Reference: Richardson extrapolation from the finest 2:1 spacing pair,
     # which removes the leading h^2 term; otherwise fall back to the finest
     # grid's energies.
@@ -318,65 +348,26 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     if richardson:
         ref = (4.0 * energies[-1] - energies[coarse[0]]) / 3.0
     errors = np.abs(energies - ref)
+    orders = [[None] * levels] + [
+        [float(np.log2(c / f)) if c > 0 and f > 0 else None for c, f in zip(coarser, finer)]
+        for coarser, finer in zip(errors[:-1], errors[1:])
+    ]
 
-    even_potential = False
-    if points[0][0].symmetric:
-        even_potential = is_even(cfg.potential, points[0][0])
-
-    rows = []
-    for i, (grid, spectrum) in enumerate(points):
-        row = {"n": grid.n, "h": grid.h}
-        for k in range(levels):
-            row[f"E{k}"] = energies[i, k]
-            row[f"err{k}"] = errors[i, k]
-        for k in range(levels):
-            if i > 0 and errors[i, k] > 0 and errors[i - 1, k] > 0:
-                row[f"order{k}"] = float(np.log2(errors[i - 1, k] / errors[i, k]))
-            else:
-                row[f"order{k}"] = None
-        if even_potential:
-            row["reflection_residual"] = reflection_defect(build_parity(spectrum))
-        else:
-            row["reflection_residual"] = None
-        if cfg.truncate is not None:
-            trunc = build_parity(spectrum, truncate=cfg.truncate)
-            if even_potential:
-                resid = reflection_defect(trunc)
-            else:
-                resid = float(np.abs(trunc.action - build_parity(spectrum).action).max())
-            row["trunc_m"] = cfg.truncate
-            row["trunc_residual"] = resid
-        else:
-            row["trunc_m"] = None
-            row["trunc_residual"] = None
-        rows.append(row)
-
-    header = ["n", "h"]
-    header += [f"E{k}" for k in range(levels)]
-    header += [f"err{k}" for k in range(levels)]
-    header += [f"order{k}" for k in range(levels)]
+    header = ["n", "h", *(f"{col}{k}" for col in ("E", "err", "order") for k in range(levels))]
     header += ["reflection_residual", "trunc_m", "trunc_residual"]
     path = cfg.out / "sweep.csv"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for col in header:
-                val = row[col]
-                if val is None:
-                    cells.append("")
-                elif isinstance(val, int):
-                    cells.append(str(val))
-                else:
-                    cells.append(fmt_float(val))
-            fh.write(",".join(cells) + "\n")
+        for (n, h, e, *tail), err, order in zip(rows, errors, orders):
+            cells = (n, h, *e, *err, *order, *tail)
+            fh.write(",".join("" if x is None else fmt_float(x) for x in cells) + "\n")
 
     print(f"# sweep over n = {ns} ({'Richardson' if richardson else 'finest-grid'} reference)")
     print(f"{'n':>6s} {'h':>12s} {'err_E0':>12s} {'order_E0':>9s} {'reflection':>12s}")
-    for row in rows:
-        order = f"{row['order0']:9.3f}" if row["order0"] is not None else "        -"
-        refl = f"{row['reflection_residual']:12.3e}" if row["reflection_residual"] is not None else "         n/a"
-        print(f"{row['n']:6d} {row['h']:12.6f} {row['err0']:12.3e} {order} {refl}")
+    for (n, h, _, refl, *_), err, order in zip(rows, errors, orders):
+        order_text = f"{order[0]:9.3f}" if order[0] is not None else "        -"
+        refl_text = f"{refl:12.3e}" if refl is not None else "         n/a"
+        print(f"{n:6d} {h:12.6f} {err[0]:12.3e} {order_text} {refl_text}")
     print(f"sweep table written to {path}")
     return EXIT_OK
 

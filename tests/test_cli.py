@@ -335,41 +335,62 @@ def test_config_file_must_be_valid(tmp_path):
     assert run_cli(["verify", "--config", missing]) == 2
 
 
-# One JSON type mistake per config file: the command, the file, and whether
-# the flags give n (a case about the file's n must not).
+# One mistake per config file: the command, the file, the flags that would
+# hide the file's value and so are left out, and the key the message names.
 BAD_CONFIG_TYPES = {
-    "suite_a_string": ("verify", {"suite": "x"}, True),
-    "grid_a_string": ("verify", {"grid": "x"}, True),
-    "tolerances_a_list": ("verify", {"suite": {"tolerances": [1]}}, True),
-    "sweep_a_string": ("sweep", {"sweep": "n_values"}, False),
-    "n_values_a_string": ("sweep", {"sweep": {"n_values": "49,99,199"}}, False),
-    "n_values_entry_a_float": ("sweep", {"sweep": {"n_values": [49, 99.9, 199]}}, False),
-    "h_values_a_number": ("sweep", {"sweep": {"h_values": 0.1}}, False),
-    "n_a_float": ("solve", {"grid": {"n": 9.7}}, False),
-    "n_a_bool": ("solve", {"grid": {"n": True}}, False),
-    "n_a_string": ("solve", {"grid": {"n": "9"}}, False),
-    "jobs_a_float": ("sweep", {"jobs": 2.5, "sweep": {"n_values": [49, 99, 199]}}, False),
-    "truncate_a_float": ("verify", {"suite": {"truncate": 5.5}}, True),
-    "save_modes_a_string": ("solve", {"save_modes": "false"}, True),
-    "kernels_a_string": ("export-kernel", {"kernels": "PQ"}, True),
-    "kernels_a_string_with_a_bad_letter": ("export-kernel", {"kernels": "PQR"}, True),
-    "kernels_entry_a_number": ("export-kernel", {"kernels": [1]}, True),
+    "suite_a_string": ("verify", {"suite": "x"}, (), "suite"),
+    "grid_a_string": ("verify", {"grid": "x"}, (), "grid"),
+    "tolerances_a_list": ("verify", {"suite": {"tolerances": [1]}}, (), "suite.tolerances"),
+    "sweep_a_string": ("sweep", {"sweep": "n_values"}, ("--n",), "sweep"),
+    "n_values_a_string": ("sweep", {"sweep": {"n_values": "49,99,199"}}, ("--n",), "sweep.n_values"),
+    "n_values_entry_a_float": ("sweep", {"sweep": {"n_values": [49, 99.9, 199]}}, ("--n",), "sweep.n_values"),
+    "h_values_a_number": ("sweep", {"sweep": {"h_values": 0.1}}, ("--n",), "sweep.h_values"),
+    "n_values_and_h_values": (
+        "sweep", {"sweep": {"n_values": [49, 99, 199], "h_values": [0.1, 0.05, 0.025]}}, ("--n",), "h_values"
+    ),
+    "n_a_float": ("solve", {"grid": {"n": 9.7}}, ("--n",), "grid.n"),
+    "n_a_bool": ("solve", {"grid": {"n": True}}, ("--n",), "grid.n"),
+    "n_a_string": ("solve", {"grid": {"n": "9"}}, ("--n",), "grid.n"),
+    "x_min_a_list": ("verify", {"grid": {"x_min": [1]}}, ("--xmin",), "grid.x_min"),
+    "x_min_a_bool": ("verify", {"grid": {"x_min": True}}, ("--xmin",), "grid.x_min"),
+    "x_min_a_string": ("verify", {"grid": {"x_min": "-8"}}, ("--xmin",), "grid.x_min"),
+    "jobs_a_float": ("sweep", {"jobs": 2.5, "sweep": {"n_values": [49, 99, 199]}}, ("--n",), "jobs"),
+    "truncate_a_float": ("verify", {"suite": {"truncate": 5.5}}, (), "suite.truncate"),
+    "omega_branch_zero": ("verify", {"suite": {"omega_branch": 0}}, (), "suite.omega_branch"),
+    "omega_branch_false": ("verify", {"suite": {"omega_branch": False}}, (), "suite.omega_branch"),
+    "save_modes_a_string": ("solve", {"save_modes": "false"}, (), "save_modes"),
+    "kernels_a_string": ("export-kernel", {"kernels": "PQ"}, (), "kernels"),
+    "kernels_a_string_with_a_bad_letter": ("export-kernel", {"kernels": "PQR"}, (), "kernels"),
+    "kernels_entry_a_number": ("export-kernel", {"kernels": [1]}, (), "kernels"),
+    "out_a_number": ("solve", {"out": 5}, ("--out",), "out"),
+    "out_null": ("solve", {"out": None}, ("--out",), "out"),
+    "out_a_list": ("solve", {"out": ["a"]}, ("--out",), "out"),
+    "named_a_list": ("solve", {"potential": {"named": ["harmonic"]}}, ("--potential",), "potential.named"),
+    "poly_entry_an_object": ("solve", {"potential": {"poly": [0, 0, {"a": 1}]}}, ("--potential",), "potential.poly"),
+    "poly_entry_a_bool": ("solve", {"potential": {"poly": [0, 0, True]}}, ("--potential",), "potential.poly"),
+    "poly_entry_a_string": ("solve", {"potential": {"poly": [0, 0, "1"]}}, ("--potential",), "potential.poly"),
+    "unknown_key": ("solve", {"jbos": 2}, (), "'jbos'"),
+    "unknown_grid_key": ("verify", {"grid": {"xmin": -8}}, ("--xmin",), "'xmin'"),
+    "misspelt_tolerances": ("verify", {"suite": {"tolerance": {"parity_involution": 1e-20}}}, (), "'tolerance'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIG_TYPES))
 def test_config_of_the_wrong_json_type_exits_2_before_solving(tmp_path, capsys, monkeypatch, case):
-    command, doc, n_flag = BAD_CONFIG_TYPES[case]
+    command, doc, omitted, key = BAD_CONFIG_TYPES[case]
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(doc))
     monkeypatch.setattr(sp.cli, "solve", None)  # a solve would raise TypeError, exit 3
     monkeypatch.setattr(sp.verify, "solve", None)
     out = tmp_path / "out"
     out.mkdir()
-    flags = ["--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--out", out]
-    assert run_cli([command, "--config", cfg, *flags, *(["--n", 49] if n_flag else [])]) == 2
+    monkeypatch.chdir(out)  # a file's bad "out" must not fall back to the working directory
+    flags = {"--potential": "harmonic", "--xmin": -8, "--xmax": 8, "--n": 49, "--out": out}
+    argv = [x for flag, value in flags.items() if flag not in omitted for x in (flag, value)]
+    assert run_cli([command, "--config", cfg, *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert key in err
     assert "'R'" not in err  # the message quotes what the file holds
     assert not any(out.iterdir())
 

@@ -4,7 +4,7 @@ Every check that used to hold n x n temporaries now works through eight row
 blocks of ceil(n/8) rows, and so does the build of a complex grading. These
 tests pin the blocked results to the dense formulas at sizes where the
 blocks are single rows (n=5), uneven (n=9, 199) and even (n=200), and bound
-what each check and the triparity build allocate.
+what each check, the triparity build and a sweep allocate.
 """
 import tracemalloc
 
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import specparity as sp
+from specparity.cli import main
 from specparity.verify import _reconstruction_defect, reflection_defect
 
 from test_verify import _dense_alternation, dense_commutator
@@ -223,8 +224,8 @@ BUDGET_CHECKS = {
 }
 
 
-def _allocated_arrays(fn, *args):
-    """fn(*args) and the peak it allocates, in n x n float64 arrays at BUDGET_N.
+def _allocated_arrays(fn, *args, n=BUDGET_N):
+    """fn(*args) and the peak it allocates, in n x n float64 arrays.
 
     A first call runs untraced: first-call allocations (imports, caches)
     are not the function's.
@@ -237,7 +238,7 @@ def _allocated_arrays(fn, *args):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, (peak - base) / (8.0 * BUDGET_N * BUDGET_N)
+    return result, (peak - base) / (8.0 * n * n)
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET_CHECKS))
@@ -272,3 +273,20 @@ def test_suite_allocates_at_most_its_budget(name, x_max):
     report, arrays = _allocated_arrays(lambda: sp.run_suite(v, grid, spectrum=s))
     assert report.passed
     assert arrays <= SUITE_BUDGET_ARRAYS, f"run_suite allocated {arrays:.2f} n x n arrays"
+
+
+# A sweep reduces each spectrum to its row as the pool hands it over, so its
+# peak is the largest grid's U and one parity operator at a time, plus any
+# spectrum the pool has solved ahead. Holding every spectrum until the pool
+# is done adds the smaller grids' U (0.69 x 8n^2 here) and the parity
+# operators built beside them.
+SWEEP_N = 349
+SWEEP_BUDGET_ARRAYS = 3.5
+
+
+def test_sweep_allocates_at_most_its_budget(tmp_path):
+    argv = ["sweep", "--potential", "harmonic", "--xmin", "-8", "--xmax", "8",
+            "--sweep-n", f"149,249,{SWEEP_N}", "--truncate", "40", "--jobs", "1", "--out", str(tmp_path)]
+    code, arrays = _allocated_arrays(main, argv, n=SWEEP_N)
+    assert code == 0
+    assert arrays <= SWEEP_BUDGET_ARRAYS, f"sweep allocated {arrays:.2f} n x n arrays"

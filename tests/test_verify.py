@@ -372,6 +372,18 @@ def test_report_invariants(qc_suite):
         assert c.seconds >= 0
 
 
+def test_verdicts_are_derived_from_residual_and_tolerance():
+    ok, at_tol = sp.CheckResult("a", 1e-9, 1e-8, 0.0), sp.CheckResult("b", 1e-8, 1e-8, 0.0)
+    na, bad = sp.CheckResult("c", None, 1e-8, 0.0), sp.CheckResult("d", 2e-8, 1e-8, 0.0)
+    assert ok.applicable and ok.passed and at_tol.passed
+    assert not na.applicable and na.passed
+    assert bad.applicable and not bad.passed
+    assert sp.VerificationReport({}, {}, (ok, at_tol, na)).passed
+    assert not sp.VerificationReport({}, {}, (ok, bad)).passed
+    with pytest.raises(ValueError):
+        sp.VerificationReport({}, {}, (sp.CheckResult("e", float("nan"), 1e-8, 0.0),))
+
+
 def test_report_carries_stage_timings(qc_suite):
     doc = json.loads(qc_suite.to_json())
     # the reconstruction is streamed inside its check, so it is no stage
