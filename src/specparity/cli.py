@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, SuiteStageError
 from .grids import Grid, make_grid
-from .operators import build_parity, build_triparity, write_kernel_csv, write_kernel_txt
+from .operators import build_parity, build_triparity, write_kernel
 from .potentials import NAMED_POTENTIALS, Potential, is_even, named, polynomial
 from .schrodinger import Spectrum, assemble, solve
 from .serial import fmt_float, fmt_rows
@@ -45,7 +45,7 @@ class ExperimentConfig:
     omega_branch: int = +1
     truncate: int | None = None
     tolerances: dict = field(default_factory=dict)
-    sweep_n: list | None = None
+    sweep_n: list | None = None  # for the sweep command: sorted, distinct, at least 3
     out: Path = Path(".")
     jobs: int = 1
     save_modes: bool = False
@@ -217,11 +217,25 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     for k in kernels:
         if not isinstance(k, str) or k.strip().upper() not in ("P", "Q"):
             raise ConfigError(f"kernels must be P or Q, got {k!r}")
-    kernels = tuple(k.strip().upper() for k in kernels)
+    kernels = tuple(dict.fromkeys(k.strip().upper() for k in kernels))  # in order, each once
 
     save_modes = doc.get("save_modes", False)
     if not isinstance(save_modes, bool):
         raise ConfigError(f"config 'save_modes' must be true or false, got {save_modes!r}")
+
+    # Checks that need no solve run here, before the output directory exists.
+    if args.command == "sweep":
+        if not sweep_n or len(sweep_n) < 3:
+            raise ConfigError("sweep needs at least 3 grid sizes (--sweep-n or config)")
+        sweep_n = sorted(set(sweep_n))
+        if len(sweep_n) < 3:
+            raise ConfigError("sweep needs at least 3 distinct grid sizes")
+        if truncate is not None and truncate > sweep_n[0]:
+            raise ConfigError(f"--truncate {truncate} exceeds the smallest sweep size {sweep_n[0]}")
+    for size in sweep_n if args.command == "sweep" else [n]:
+        make_grid(x_min, x_max, size)
+    if args.command == "export-kernel" and truncate is not None and truncate > n:
+        raise ConfigError(f"truncation {truncate} out of range 1..{n}")
 
     out = args.out if args.out is not None else doc.get("out", ".")
     if not isinstance(out, str):
@@ -315,16 +329,8 @@ def _sweep_row(grid: Grid, spectrum: Spectrum, levels: int, even: bool, truncate
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    if not cfg.sweep_n or len(cfg.sweep_n) < 3:
-        raise ConfigError("sweep needs at least 3 grid sizes (--sweep-n or config)")
-    ns = sorted(set(cfg.sweep_n))
-    if len(ns) < 3:
-        raise ConfigError("sweep needs at least 3 distinct grid sizes")
-    if cfg.truncate is not None and cfg.truncate > min(ns):
-        raise ConfigError(
-            f"--truncate {cfg.truncate} exceeds the smallest sweep size {min(ns)}"
-        )
-    levels = min(10, min(ns))
+    ns = cfg.sweep_n
+    levels = min(10, ns[0])
     first = make_grid(cfg.x_min, cfg.x_max, ns[0])
     even = first.symmetric and is_even(cfg.potential, first)
 
@@ -382,8 +388,7 @@ def cmd_export_kernel(cfg: ExperimentConfig) -> int:
             kern = build_triparity(spectrum, cfg.omega_branch, truncate=cfg.truncate)
         csv_path = cfg.out / f"kernel_{label}.csv"
         txt_path = cfg.out / f"kernel_{label}.txt"
-        write_kernel_csv(kern, csv_path)
-        write_kernel_txt(kern, txt_path)
+        write_kernel(kern, csv_path, txt_path)
         print(f"kernel {label} written to {csv_path} and {txt_path}")
     return EXIT_OK
 

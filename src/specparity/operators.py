@@ -14,7 +14,7 @@ else, which keeps stray h factors out of the operator identities.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,14 +248,32 @@ def _replace_on_success(path):
         raise
 
 
+def write_kernel(k: OperatorKernel, csv_path=None, txt_path=None) -> None:
+    """Kernel values K(x_i, x_j) as CSV, as a plain text dump, or both.
+
+    The CSV starts with a header row of grid points; the text dump has one
+    kernel row per line, for regression baselines. Each row is formatted
+    once: its text line is its CSV line with spaces for commas, since no
+    17g cell holds a comma. Both files are renamed into place only after
+    every row is written, so a failed export leaves neither.
+    """
+    with ExitStack() as stack:
+        csv, txt = (None if path is None else stack.enter_context(_replace_on_success(path))
+                    for path in (csv_path, txt_path))
+        if csv is not None:
+            csv.writelines(fmt_rows([k.grid.points], ","))
+        for line in fmt_rows(k.kernel_rows(), ","):
+            if csv is not None:
+                csv.write(line)
+            if txt is not None:
+                txt.write(line.replace(",", " "))
+
+
 def write_kernel_csv(k: OperatorKernel, path) -> None:
     """Kernel values K(x_i, x_j) as CSV with a header row of grid points."""
-    with _replace_on_success(path) as fh:
-        fh.writelines(fmt_rows([k.grid.points], ","))
-        fh.writelines(fmt_rows(k.kernel_rows(), ","))
+    write_kernel(k, csv_path=path)
 
 
 def write_kernel_txt(k: OperatorKernel, path) -> None:
     """Plain textual dump, one kernel row per line, for regression baselines."""
-    with _replace_on_success(path) as fh:
-        fh.writelines(fmt_rows(k.kernel_rows(), " "))
+    write_kernel(k, txt_path=path)

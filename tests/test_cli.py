@@ -474,6 +474,23 @@ def test_sweep_requires_three_points(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--potential", "harmonic", "--xmin", 8, "--xmax", -8, "--n", 9],
+        ["sweep", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--sweep-n", "49,99,99"],
+        ["export-kernel", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--n", 9, "--truncate", 20],
+    ],
+    ids=["reversed_domain", "two_distinct_sweep_sizes", "truncate_above_n"],
+)
+def test_input_errors_exit_2_before_the_output_directory_is_made(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(sp.cli, "solve", None)  # a solve would raise TypeError, exit 3
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_sweep_parallel_output_matches_serial(tmp_path):
     for label, jobs in (("serial", 1), ("parallel", 3)):
         assert run_cli(
@@ -540,6 +557,40 @@ def test_export_both_kernels_txt_matches_csv(tmp_path):
     np.testing.assert_array_equal(q_csv, q_txt)
     cube = np.linalg.matrix_power(q_csv * sp.make_grid(-10, 10, 49).h, 3)
     assert np.abs(cube - np.eye(49)).max() <= 1e-10
+
+
+def test_export_formats_each_kernel_row_once(tmp_path, monkeypatch):
+    from specparity import operators
+
+    fmt_rows, lines = operators.fmt_rows, []
+
+    def counting(rows, sep):
+        for line in fmt_rows(rows, sep):
+            lines.append(line)
+            yield line
+
+    monkeypatch.setattr(operators, "fmt_rows", counting)
+    assert run_cli(
+        ["export-kernel", "--potential", "quartic_cubic", "--xmin", -10, "--xmax", 10,
+         "--n", 49, "--kernels", "P,Q", "--out", tmp_path]
+    ) == 0
+    assert len(lines) == 2 * (49 + 1)  # per kernel: the header and 49 rows, each formatted once
+
+
+def test_export_builds_and_writes_a_repeated_kernel_once(tmp_path, capsys, monkeypatch):
+    builds = []
+
+    def counting(spectrum, truncate=None):
+        builds.append(truncate)
+        return sp.build_parity(spectrum, truncate)
+
+    monkeypatch.setattr(sp.cli, "build_parity", counting)
+    assert run_cli(
+        ["export-kernel", "--potential", "harmonic", "--xmin", -8, "--xmax", 8,
+         "--n", 9, "--kernels", "p,P", "--out", tmp_path]
+    ) == 0
+    assert builds == [None]
+    assert capsys.readouterr().out.count("kernel P written") == 1
 
 
 def test_export_of_an_overflowing_kernel_exits_2_and_leaves_no_files(tmp_path, monkeypatch):

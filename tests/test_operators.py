@@ -301,9 +301,11 @@ def test_kernel_writers_match_the_17g_oracle_byte_for_byte(tmp_path, qc_199, whi
     k = kernels[which]
     sp.write_kernel_csv(k, tmp_path / "k.csv")
     sp.write_kernel_txt(k, tmp_path / "k.txt")
+    sp.write_kernel(k, tmp_path / "one.csv", tmp_path / "one.txt")  # both from one pass
     header = ",".join(_oracle_17g(x) for x in k.grid.points) + "\n"
-    assert (tmp_path / "k.csv").read_bytes() == (header + _oracle_lines(k.kernel, ",")).encode()
-    assert (tmp_path / "k.txt").read_bytes() == _oracle_lines(k.kernel, " ").encode()
+    for csv, txt in (("k.csv", "k.txt"), ("one.csv", "one.txt")):
+        assert (tmp_path / csv).read_bytes() == (header + _oracle_lines(k.kernel, ",")).encode()
+        assert (tmp_path / txt).read_bytes() == _oracle_lines(k.kernel, " ").encode()
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["real", "complex"])
@@ -341,18 +343,26 @@ def test_kernel_writers_reject_a_kernel_that_overflows(tmp_path, scale):
             sp.write_kernel_csv(k, tmp_path / "k.csv")
         with pytest.raises(ValueError, match="non-finite"):
             sp.write_kernel_txt(k, tmp_path / "k.txt")
+        with pytest.raises(ValueError, match="non-finite"):
+            sp.write_kernel(k, tmp_path / "k.csv", tmp_path / "k.txt")
 
 
 @pytest.mark.parametrize("scale", [1e307, 1e307 + 1e307j])
 def test_failed_kernel_write_leaves_no_file_behind(tmp_path, scale):
     k = sp.OperatorKernel(grid=sp.make_grid(-1, 1, 99), action=np.full((99, 99), scale))
+    (tmp_path / "old.csv").write_text("kept csv\n")
     (tmp_path / "old.txt").write_text("kept\n")
+
+    def both(k, path):
+        sp.write_kernel(k, path.with_suffix(".csv"), path.with_suffix(".txt"))
+
     with np.errstate(over="ignore"):
-        for writer, name in ((sp.write_kernel_csv, "k.csv"), (sp.write_kernel_txt, "k.txt")):
+        for writer, name in ((sp.write_kernel_csv, "k.csv"), (sp.write_kernel_txt, "k.txt"), (both, "k")):
             with pytest.raises(ValueError, match="non-finite"):
                 writer(k, tmp_path / name)
             # an existing file at the target keeps its content
             with pytest.raises(ValueError, match="non-finite"):
                 writer(k, tmp_path / "old.txt")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv", "old.txt"]
+    assert (tmp_path / "old.csv").read_text() == "kept csv\n"
     assert (tmp_path / "old.txt").read_text() == "kept\n"
