@@ -41,7 +41,7 @@ def _row_blocks(count: int):
     The checks stream through these blocks, so no check holds an n x n
     temporary: each block's work touches about n^2 / 8 entries.
     """
-    step = -(-count // _ROW_BLOCKS)
+    step = -(-count // _ROW_BLOCKS) or 1  # no blocks for count 0
     return (slice(i, min(i + step, count)) for i in range(0, count, step))
 
 
@@ -130,12 +130,30 @@ class Spectrum:
 
     energies are ascending; the columns of ``modes`` are Euclidean-
     orthonormal eigenvectors u_n with the first significant entry positive.
-    For a reflection-symmetric Hamiltonian u_n[::-1] == (-1)^n u_n exactly.
+
+    ``folded`` records that ``solve`` took T apart into its two parity
+    blocks, because T's bands are palindromic. The modes of such a spectrum
+    are exact mirrors, u_n[::-1] == (-1)^n u_n, so its dyad sums and Gram
+    matrices are formed on its two half-size parity sectors (``_sectors``).
+    A folded spectrum whose modes break the mirror raises ValueError.
     """
 
     grid: Grid
     energies: np.ndarray
     modes: np.ndarray
+    folded: bool = False
+
+    def __post_init__(self):
+        if not self.folded:
+            return
+        u = self.modes
+        n, signs = u.shape[0], (-1.0) ** np.arange(u.shape[1])
+        for rows in _row_blocks(n - n // 2):  # row i against row n-1-i
+            top, bottom = u[rows], u[n - rows.stop : n - rows.start][::-1]
+            if not np.array_equal(bottom, top * signs):
+                raise ValueError(
+                    "the modes of a folded spectrum must be exact mirrors, u_k[::-1] == (-1)^k u_k"
+                )
 
     @property
     def phi(self) -> np.ndarray:
@@ -270,7 +288,8 @@ def solve(hm: HamiltonianMatrix) -> Spectrum:
     All n eigenpairs are computed: downstream operator constructions need
     the complete discrete basis for their identities to hold exactly. A
     reflection-symmetric T (palindromic bands) is solved as its two
-    half-size parity blocks; any other T in one stemr call.
+    half-size parity blocks, and its spectrum is recorded as folded; any
+    other T in one stemr call.
     """
     reflective = bool(
         np.array_equal(hm.diag, hm.diag[::-1])
@@ -292,33 +311,71 @@ def solve(hm: HamiltonianMatrix) -> Spectrum:
 
     for arr in (energies, modes):
         arr.flags.writeable = False
-    return Spectrum(grid=hm.grid, energies=energies, modes=modes)
+    return Spectrum(grid=hm.grid, energies=energies, modes=modes, folded=reflective)
+
+
+def _sectors(s: Spectrum, u: np.ndarray, scratch: np.ndarray | None = None) -> list:
+    """The parity sectors of u, the first u.shape[1] modes of s.
+
+    An unfolded spectrum is one sector, u itself. A folded one is two: the
+    top h = n - n//2 rows of the even and of the odd columns of u, copied so
+    that BLAS can take them, into ``scratch`` (a C-contiguous array of at
+    least h * u.shape[1] floats) when one is given. The rows below the top
+    are their mirror images, u[n-1-i, k] = (-1)^k u[i, k], and the middle
+    row of an odd n is zero in the odd sector.
+    """
+    if not s.folded:
+        return [u]
+    h = u.shape[0] - u.shape[0] // 2
+    flat = np.empty(h * u.shape[1]) if scratch is None else scratch.reshape(-1)
+    sectors, start = [], 0
+    for parity in (0, 1):
+        cols = u[:h, parity::2]
+        sector = flat[start : start + cols.size].reshape(cols.shape)
+        sector[...] = cols
+        sectors.append(sector)
+        start += cols.size
+    return sectors
 
 
 def check_orthonormality(s: Spectrum, rank: int) -> float:
     """Max deviation of the Gram matrix of the first ``rank`` modes from the identity.
 
     The quadrature Gram h * phi^T phi of the samples is U^T U, taken here
-    from the modes directly, one row block at a time.
+    from the modes directly, one row block at a time. The even and odd modes
+    of a folded spectrum are orthogonal exactly, term by mirrored term, so
+    only the two half-size Gram matrices of its sectors are formed.
     """
     if not (1 <= rank <= s.n_modes):
         raise ValueError(f"rank must be in 1..{s.n_modes}, got {rank}")
-    u = s.modes[:, :rank]
-    return max(_identity_defect(u[:, rows].T @ u, rows.start) for rows in _row_blocks(rank))
+    n, worst = s.grid.n, 0.0
+    for sector in _sectors(s, s.modes[:, :rank]):
+        weighted = sector
+        if s.folded:  # a top row counts for its mirror too; the middle row of an odd n once
+            weighted = sector * 2.0
+            weighted[n // 2 :] = sector[n // 2 :]
+        for rows in _row_blocks(sector.shape[1]):
+            worst = max(worst, _identity_defect(sector[:, rows].T @ weighted, rows.start))
+    return worst
 
 
 def check_completeness(s: Spectrum) -> float:
     """Max deviation of sum_n u_n u_n^T from the identity.
 
     Equals the discrete completeness statement max |h * sum_n
-    phi_n(x_i) phi_n(x_j) - delta_ij|; requires the full spectrum.
+    phi_n(x_i) phi_n(x_j) - delta_ij|; requires the full spectrum. The sum
+    is formed in row blocks with unit weights, as the gradings are. Of a
+    folded spectrum only the top rows are formed: the rest are their mirror
+    images, and so are the rows of the identity.
     """
+    from .operators import _dyad_blocks  # here: operators imports this module
+
     if not s.is_full:
         raise TruncatedSpectrumError(
             f"completeness needs all {s.grid.n} modes, got {s.n_modes}"
         )
-    u = s.modes
-    return max(_identity_defect(u[rows] @ u.T, rows.start) for rows in _row_blocks(s.grid.n))
+    blocks = _dyad_blocks(s, s.modes, np.ones(s.n_modes))
+    return max(_identity_defect(g, rows.start) for rows, g in blocks)
 
 
 def count_nodes(s: Spectrum, k: int) -> int:

@@ -6,6 +6,7 @@ tests pin the blocked results to the dense formulas at sizes where the
 blocks are single rows (n=5), uneven (n=9, 199) and even (n=200), and bound
 what each check, the triparity build and a sweep allocate.
 """
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,10 @@ import pytest
 
 import specparity as sp
 from specparity.cli import main
+from specparity.schrodinger import _row_blocks
 from specparity.verify import _reconstruction_defect, reflection_defect
 
+from test_schrodinger import DOUBLE_WELL
 from test_verify import _dense_alternation, dense_commutator
 
 BLOCK_SIZES = [5, 9, 199, 200]
@@ -183,6 +186,62 @@ def test_hermiticity_gap_of_a_real_kernel_matches_dense_eigvalsh():
     dense = np.abs(np.linalg.eigvalsh((a - a.T) / 1j)).max()
     gap = sp.spectral_hermiticity_gap(sp.OperatorKernel(grid=grid, action=a))
     assert gap == pytest.approx(dense, abs=1e-12)
+
+
+def test_unfolded_spectrum_keeps_the_row_block_formulas(qc_199):
+    # An asymmetric spectrum is one sector: its sums are the whole-row
+    # products of the row blocks, bit for bit.
+    s, u, n = qc_199, qc_199.modes, 199
+    assert not s.folded
+    hm = sp.assemble(sp.named("quartic_cubic"), s.grid)
+    eye, t = np.eye(n), hm.to_dense()
+    for branch in (+1, -1):
+        w = sp.GradingWeights.cube_roots(n, branch).values
+        oracle = np.empty((n, n), complex)
+        for rows in _row_blocks(n):
+            oracle.real[rows] = (u[rows] * w.real) @ u.T
+            oracle.imag[rows] = (u[rows] * w.imag) @ u.T
+        assert np.array_equal(sp.build_triparity(s, branch).action, oracle)
+    blocks = list(_row_blocks(n))
+    assert sp.check_completeness(s) == max(np.abs(u[b] @ u.T - eye[b]).max() for b in blocks)
+    assert sp.check_orthonormality(s, n) == max(np.abs(u[:, b].T @ u - eye[b]).max() for b in blocks)
+    assert _reconstruction_defect(s, hm) == (
+        max(np.abs((u[b] * s.energies) @ u.T - t[b]).max() for b in blocks) / hm.norm_max
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 199, 200])
+@pytest.mark.parametrize("v", [sp.named("harmonic"), DOUBLE_WELL], ids=["harmonic", "double_well"])
+def test_sector_sums_match_the_dense_formulas(v, n):
+    # odd and even n, a middle row or none, full and truncated builds
+    hm = sp.assemble(v, sp.make_grid(-8, 8, n))
+    s = sp.solve(hm)
+    assert s.folded
+    for m in sorted({n, n // 2 + 1}):
+        u = s.modes[:, :m]
+        for branch in (+1, -1):
+            w = sp.GradingWeights.cube_roots(m, branch).values
+            q = sp.build_triparity(s, branch, truncate=None if m == n else m).action
+            whole = (u * w.real) @ u.T + 1j * ((u * w.imag) @ u.T)
+            assert np.abs(q - whole).max() <= 1e-15
+            assert np.array_equal(q, q[::-1, ::-1])
+    # a zeroed mode keeps the mirror and makes the residuals macroscopic
+    modes = s.modes.copy()
+    modes[:, 1] = 0.0
+    broken = dataclasses.replace(s, modes=modes)
+    assert broken.folded
+    u, eye = modes, np.eye(n)
+    assert sp.check_completeness(broken) == pytest.approx(np.abs(u @ u.T - eye).max(), rel=1e-12)
+    assert sp.check_orthonormality(broken, n) == pytest.approx(np.abs(u.T @ u - eye).max(), rel=1e-12)
+    dense = np.abs((u * s.energies) @ u.T - hm.to_dense()).max() / hm.norm_max
+    assert _reconstruction_defect(broken, hm) == pytest.approx(dense, rel=1e-12)
+    # against a T that is not its own mirror image the bottom rows decide
+    diag = hm.diag.copy()
+    diag[-1] += 1e-3 * hm.norm_max
+    moved = sp.HamiltonianMatrix(grid=hm.grid, diag=diag, offdiag=hm.offdiag)
+    dense = np.abs((s.modes * s.energies) @ s.modes.T - moved.to_dense()).max() / moved.norm_max
+    assert dense > 1e-4
+    assert _reconstruction_defect(s, moved) == pytest.approx(dense, rel=1e-9)
 
 
 # Each check may allocate at most this many n x n float64 arrays beyond its

@@ -321,6 +321,25 @@ def test_corrupted_eigenvector_fails_the_suite(qc_199):
     assert sp.check_involution(sp.build_parity(qc_199)) <= 1e-10
 
 
+def test_corrupted_folded_spectrum_fails_the_suite(harmonic_199, qc_199):
+    import dataclasses
+
+    assert harmonic_199.folded and not qc_199.folded
+    broken = sp.corrupt_spectrum(harmonic_199, mode=3, eps=1e-3, seed=0)
+    assert not broken.folded  # the noise breaks the mirror, so the record goes
+    report = sp.run_suite(sp.named("harmonic"), harmonic_199.grid, spectrum=broken)
+    assert not report.passed
+    # a folded spectrum cannot carry modes that break the mirror
+    modes = harmonic_199.modes.copy()
+    modes[0, 3] += 1e-3
+    with pytest.raises(ValueError, match="mirror"):
+        dataclasses.replace(harmonic_199, modes=modes)
+    modes = harmonic_199.modes.copy()
+    modes[199 // 2, 5] = 1e-300  # the middle entry of an odd mode is zero
+    with pytest.raises(ValueError, match="mirror"):
+        dataclasses.replace(harmonic_199, modes=modes)
+
+
 def test_tolerance_override_validation(qc_199):
     with pytest.raises(ValueError):
         sp.run_suite(sp.named("quartic_cubic"), qc_199.grid, {"no_such_check": 1e-3})
