@@ -70,7 +70,7 @@ def _validate_confining(coeffs: np.ndarray) -> tuple:
         )
     if coeffs[-1] <= 0:
         raise PotentialError("leading coefficient must be positive for confinement")
-    return tuple(coeffs)
+    return tuple(float(c) for c in coeffs)  # Python floats, so describe() shows plain numbers
 
 
 def polynomial(coefficients) -> Potential:

@@ -78,6 +78,15 @@ class HamiltonianMatrix:
         return self.grid.n
 
     @property
+    def palindromic(self) -> bool:
+        """Whether both bands read the same reversed, that is, T commutes with
+        the reflection J of the grid; derived on each read."""
+        return bool(
+            np.array_equal(self.diag, self.diag[::-1])
+            and np.array_equal(self.offdiag, self.offdiag[::-1])
+        )
+
+    @property
     def norm_max(self) -> float:
         """Entrywise max norm of T."""
         return float(max(np.abs(self.diag).max(), np.abs(self.offdiag).max()))
@@ -291,10 +300,7 @@ def solve(hm: HamiltonianMatrix) -> Spectrum:
     half-size parity blocks, and its spectrum is recorded as folded; any
     other T in one stemr call.
     """
-    reflective = bool(
-        np.array_equal(hm.diag, hm.diag[::-1])
-        and np.array_equal(hm.offdiag, hm.offdiag[::-1])
-    )
+    reflective = hm.palindromic
     if reflective:
         energies, modes = _solve_folded(hm)
     else:
@@ -314,28 +320,31 @@ def solve(hm: HamiltonianMatrix) -> Spectrum:
     return Spectrum(grid=hm.grid, energies=energies, modes=modes, folded=reflective)
 
 
-def _sectors(s: Spectrum, u: np.ndarray, scratch: np.ndarray | None = None) -> list:
-    """The parity sectors of u, the first u.shape[1] modes of s.
+def _sectors(s: Spectrum, u: np.ndarray, scratch: np.ndarray | None = None):
+    """The parity sectors of u, the first u.shape[1] modes of s, one at a time.
 
     An unfolded spectrum is one sector, u itself. A folded one is two: the
     top h = n - n//2 rows of the even and of the odd columns of u, copied so
     that BLAS can take them, into ``scratch`` (a C-contiguous array of at
-    least h * u.shape[1] floats) when one is given. The rows below the top
-    are their mirror images, u[n-1-i, k] = (-1)^k u[i, k], and the middle
-    row of an odd n is zero in the odd sector.
+    least h * u.shape[1] floats) when one is given, else each into a new
+    array, so a caller that drops one sector before it takes the next holds
+    one at a time. The rows below the top are their mirror images,
+    u[n-1-i, k] = (-1)^k u[i, k], and the middle row of an odd n is zero in
+    the odd sector.
     """
     if not s.folded:
-        return [u]
+        yield u
+        return
     h = u.shape[0] - u.shape[0] // 2
-    flat = np.empty(h * u.shape[1]) if scratch is None else scratch.reshape(-1)
-    sectors, start = [], 0
+    flat = None if scratch is None else scratch.reshape(-1)
     for parity in (0, 1):
         cols = u[:h, parity::2]
-        sector = flat[start : start + cols.size].reshape(cols.shape)
-        sector[...] = cols
-        sectors.append(sector)
-        start += cols.size
-    return sectors
+        if flat is None:
+            yield np.array(cols)  # not bound here, so it is freed when the caller drops it
+        else:
+            sector, flat = flat[: cols.size].reshape(cols.shape), flat[cols.size :]
+            sector[...] = cols
+            yield sector
 
 
 def check_orthonormality(s: Spectrum, rank: int) -> float:

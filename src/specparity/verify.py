@@ -44,6 +44,7 @@ from .schrodinger import (
     _identity_defect,
     _max_abs,
     _row_blocks,
+    _sectors,
     assemble,
     check_completeness,
     check_orthonormality,
@@ -153,6 +154,35 @@ def check_hermiticity(k: OperatorKernel) -> float:
     return max(_max_abs(a[rows] - a[:, rows].conj().T) for rows in _row_blocks(k.n))
 
 
+def _hermitian(a: np.ndarray) -> bool:
+    """Whether A == A^dagger exactly, scanned one row block at a time.
+
+    Stops at the first row block with an unequal entry; the same verdict as
+    ``check_hermiticity(k) == 0.0``, which reads every block.
+    """
+    for rows in _row_blocks(a.shape[0]):
+        mirror = a[:, rows].T
+        if not np.array_equal(a[rows], mirror.conj() if np.iscomplexobj(a) else mirror):
+            return False
+    return True
+
+
+def _centrosymmetric(a: np.ndarray) -> bool:
+    """Whether A[::-1, ::-1] == A exactly, that is, A commutes with the reflection J.
+
+    Row i is compared with row n-1-i reversed, one top row block at a time,
+    stopping at the first block with an unequal entry. Derived on each call:
+    a built complex grading of a folded spectrum passes by construction; a
+    real one is one whole GEMM, which rounds mirrored entries alike at some
+    n and not at others, and either verdict is sound.
+    """
+    n = a.shape[0]
+    for rows in _row_blocks(n - n // 2):
+        if not np.array_equal(a[n - rows.stop : n - rows.start][::-1, ::-1], a[rows]):
+            return False
+    return True
+
+
 def spectral_hermiticity_gap(k: OperatorKernel) -> float:
     """Spectral norm of A - A^dagger (reported for non-Hermitian gradings).
 
@@ -165,13 +195,17 @@ def spectral_hermiticity_gap(k: OperatorKernel) -> float:
     S and K are never formed: with z = x + iy, the embedding maps (x, y)
     to (Im(A z) + Im(A^T conj z), Re(A^T conj z) - Re(A z)), two
     matrix-vector products with A itself.
+
+    An exactly Hermitian A gives 0.0 without Lanczos, which cannot start on
+    a zero operator. That guard stops at the first row block where
+    A != A^dagger, so a grading far from Hermitian pays for one block.
     """
     # imported here, not at module top, so CLI start-up does not pay for it
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    if check_hermiticity(k) == 0.0:
-        return 0.0  # exactly Hermitian; Lanczos cannot start on a zero operator
     a = k.action
+    if _hermitian(a):
+        return 0.0
     n = k.n
 
     def embedded(v):
@@ -196,6 +230,12 @@ def check_commutator(k: OperatorKernel, hm: HamiltonianMatrix) -> float:
     time: rows b of A T are (T A[b]^T)^T since T is symmetric, and rows b
     of T A read A one row beyond each edge of b. T is real, so a complex A
     is taken one real part at a time, which keeps the temporaries real.
+
+    When T's bands are palindromic (``hm.palindromic``) and A is its own
+    mirror image (``_centrosymmetric``), both commute with the reflection J,
+    so C = A T - T A does too: C[n-1-i, n-1-j] = C[i, j]. Only the top
+    n - n//2 rows of C are then formed. Both properties are checked on the
+    stored bands and entries, exactly; otherwise every row is formed.
     """
     require_same_grid(k.grid, hm.grid)
 
@@ -211,8 +251,9 @@ def check_commutator(k: OperatorKernel, hm: HamiltonianMatrix) -> float:
         squared += commutator(a.imag, rows) ** 2
         return float(np.sqrt(squared.max()))
 
-    a = k.action
-    return max(defect(rows) for rows in _row_blocks(k.n)) / hm.norm_max
+    a, n = k.action, k.n
+    top = n - n // 2 if hm.palindromic and _centrosymmetric(a) else n
+    return max(defect(rows) for rows in _row_blocks(top)) / hm.norm_max
 
 
 def _require_full(k: OperatorKernel, what: str) -> None:
@@ -231,6 +272,11 @@ def check_order(k: OperatorKernel, m: int) -> float:
     A real A keeps the whole product: a real GEMM cut into row blocks may
     round differently from the whole one, and the real residuals stay
     bitwise those of the dense formula.
+
+    Every row of the power is formed, also for a centrosymmetric A, whose
+    power is centrosymmetric too: the residuals of the harmonic triparity
+    are pinned equal (==) to the dense formula over all rows, and a
+    top-rows maximum can miss the largest bottom-row rounding.
     """
     if m < 2:
         raise ValueError(f"order must be at least 2, got {m}")
@@ -267,6 +313,16 @@ def check_alternation(k: OperatorKernel, s: Spectrum, w: GradingWeights | None =
     |R|^2 = (Re A U - U Re w)^2 + (Im A U - U Im w)^2. Row blocks of Re A
     and Im A are small strided copies; a column block of U would need the
     whole of Re A copied for every block.
+
+    A folded spectrum's modes are exact mirrors, u_k[n-1-j] = (-1)^k u_k[j],
+    so A U is formed from its two parity sectors (``_sectors``): each row
+    block of A is folded by columns, A[:, j] + A[:, n-1-j] (the middle
+    column of an odd n once) against the even sector and A[:, j] - A[:, n-1-j]
+    against the odd one. That reads every entry of A, assumes nothing about
+    it, and halves the flops. When A is also its own mirror image
+    (``_centrosymmetric``), R[n-1-i] = (-1)^k R[i], so only the top
+    n - n//2 rows are formed, each counted twice but the middle row of an
+    odd n. An unfolded spectrum is one sector with the identity fold.
     """
     require_same_grid(k.grid, s.grid)
     if w is None:
@@ -277,14 +333,38 @@ def check_alternation(k: OperatorKernel, s: Spectrum, w: GradingWeights | None =
     parts = [(a.real, wv.real)]
     if np.iscomplexobj(a) or np.iscomplexobj(wv):
         parts.append((a.imag if np.iscomplexobj(a) else None, wv.imag))
+    n = s.grid.n
+    m, h = n // 2, n - n // 2
+
+    def identity(block: np.ndarray) -> np.ndarray:
+        return block
+
+    def even(block: np.ndarray) -> np.ndarray:
+        folded = block[:, :h].copy()
+        folded[:, :m] += block[:, : h - 1 : -1]  # columns n-1 .. n-m
+        return folded
+
+    def odd(block: np.ndarray) -> np.ndarray:
+        return block[:, :m] - block[:, : h - 1 : -1]
+
+    folds = ((slice(0, None, 2), even), (slice(1, None, 2), odd)) if s.folded else ((slice(None), identity),)
+    top = h if s.folded and _centrosymmetric(a) else n
     squared = np.zeros(s.n_modes)
-    for rows in _row_blocks(s.grid.n):
-        for part, weights in parts:
-            r = u[rows] * -weights
-            if part is not None:
-                r += part[rows] @ u
-            r **= 2
-            squared += r.sum(axis=0)
+    # the columns of R in one sector depend on that sector alone, so each is taken in turn
+    sectors = _sectors(s, u)  # not zipped: zip would hold the last sector while it takes the next
+    for cols, fold in folds:
+        sector = next(sectors)
+        for rows in _row_blocks(top):
+            for part, weights in parts:
+                r = u[rows, cols] * -weights[cols]
+                if part is not None:
+                    lhs = fold(part[rows])
+                    r += lhs @ sector[: lhs.shape[1]]  # the odd fold drops the zero middle row
+                r **= 2
+                if top < n:  # a top row stands for its mirror too; the middle row of an odd n once
+                    r[: max(min(rows.stop, m) - rows.start, 0)] *= 2.0
+                squared[cols] += r.sum(axis=0)
+        del sector  # freed before the next sector is copied
     return float(np.sqrt(squared).max())
 
 

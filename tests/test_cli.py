@@ -45,6 +45,14 @@ def test_solve_polynomial_prints_ascending_energies(tmp_path, capsys):
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_potential_header_prints_plain_numbers(tmp_path, capsys, command):
+    code = run_cli([command, "--poly", "0,0,1", "--xmin", -8, "--xmax", 8, "--n", 199, "--out", tmp_path])
+    assert code == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == "# potential {'poly': [0.0, 0.0, 1.0]} grid (-8.0, 8.0, n=199)"
+
+
 def test_solve_save_modes(tmp_path):
     code = run_cli(
         ["solve", "--potential", "harmonic", "--xmin", -6, "--xmax", 6, "--n", 49,

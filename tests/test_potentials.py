@@ -107,6 +107,14 @@ def test_describe_round_trip():
     assert sp.polynomial([0, 0, 0, 1, 1]).describe() == {"poly": [0.0, 0.0, 0.0, 1.0, 1.0]}
 
 
+def test_describe_gives_python_floats():
+    # == cannot tell np.float64 from float; their reprs differ under numpy 2
+    for coeffs in ([0, 0, 1], np.array([0.0, 0.0, 1.0]), np.array([0, 0, 1], dtype=complex)):
+        poly = sp.polynomial(coeffs).describe()["poly"]
+        assert [type(c) for c in poly] == [float, float, float]
+        assert repr(poly) == "[0.0, 0.0, 1.0]"
+
+
 def test_trailing_zeros_stripped():
     v = sp.polynomial([0, 0, 1, 0, 0])
     assert v.degree == 2

@@ -15,7 +15,7 @@ import pytest
 import specparity as sp
 from specparity.cli import main
 from specparity.schrodinger import _row_blocks
-from specparity.verify import _reconstruction_defect, reflection_defect
+from specparity.verify import _centrosymmetric, _reconstruction_defect, reflection_defect
 
 from test_schrodinger import DOUBLE_WELL
 from test_verify import _dense_alternation, dense_commutator
@@ -242,6 +242,140 @@ def test_sector_sums_match_the_dense_formulas(v, n):
     dense = np.abs((s.modes * s.energies) @ s.modes.T - moved.to_dense()).max() / moved.norm_max
     assert dense > 1e-4
     assert _reconstruction_defect(s, moved) == pytest.approx(dense, rel=1e-9)
+
+
+# Sizes for the folded alternation and the top-rows commutator: a middle
+# row or none, blocks of one row (n <= 9) and uneven or even blocks. At n=2
+# every centrosymmetric A commutes with a palindromic T, so the residuals
+# there are rounding and only the absolute floor of _matches can hold.
+FOLD_SIZES = [2, 3, 4, 5, 9, 199, 200]
+
+
+def _matches(dense):
+    return pytest.approx(dense, rel=1e-12, abs=1e-15)
+
+
+def _centrosymmetric_kernels(s):
+    """Q and a random complex a + a[::-1, ::-1], both centrosymmetric bit for bit."""
+    n = s.grid.n
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    kernels = {
+        "triparity": sp.build_triparity(s),
+        "random": sp.OperatorKernel(grid=s.grid, action=a + a[::-1, ::-1]),
+    }
+    assert all(_centrosymmetric(k.action) for k in kernels.values())
+    return kernels
+
+
+def _moved(k, *entries, delta=0.5):
+    """k with delta added to each (i, j) entry."""
+    a = k.action.copy()
+    for i, j in entries:
+        a[i, j] += delta
+    return sp.OperatorKernel(grid=k.grid, action=a)
+
+
+@pytest.mark.parametrize("n", FOLD_SIZES)
+def test_folded_alternation_matches_the_dense_formula(n):
+    # full and truncated folded spectra, with an odd and an even mode count
+    hm, s = _solved(n)
+    kernels = _centrosymmetric_kernels(s)
+    q = kernels["triparity"]
+    pair = _moved(q, (0, 1), (n - 1, n - 2))  # a mirrored pair: still centrosymmetric
+    bottom = _moved(q, (n - 1, 1))  # one bottom-half entry: whole rows
+    assert _centrosymmetric(pair.action) and not _centrosymmetric(bottom.action)
+    for m in sorted({n, n // 2, n // 2 + 1}):
+        t = dataclasses.replace(s, modes=s.modes[:, :m])
+        assert t.folded
+        for w in (sp.GradingWeights.cube_roots(m), sp.GradingWeights.alternating(m)):
+            for k in (*kernels.values(), pair, bottom):
+                assert sp.check_alternation(k, t, w) == _matches(_dense_alternation(k, t, w))
+        w = sp.GradingWeights.cube_roots(m)
+        for k in (pair, bottom):  # the moved entries make the residuals macroscopic
+            assert _dense_alternation(k, t, w) > 1e-3
+
+
+@pytest.mark.parametrize("n", FOLD_SIZES)
+def test_top_rows_commutator_matches_the_dense_formula(n):
+    hm, s = _solved(n)
+    assert hm.palindromic
+    kernels = _centrosymmetric_kernels(s)
+    q = kernels["triparity"]
+    pair = _moved(q, (0, 1), (n - 1, n - 2))
+    bottom = _moved(q, (n - 1, 1))
+    for k in (*kernels.values(), pair, bottom):
+        assert sp.check_commutator(k, hm) == _matches(dense_commutator(k, hm))
+    if n > 2:
+        for k in (pair, bottom):
+            assert dense_commutator(k, hm) > 1e-4
+
+
+@pytest.mark.parametrize("n", FOLD_SIZES[1:])
+def test_commutator_with_a_moved_t_reads_every_row(n):
+    # A centrosymmetric A with zero first and last columns: moving T's last
+    # diagonal entry then changes only the last row of A T - T A, so the
+    # top rows alone would miss the maximum.
+    hm, s = _solved(n)
+    a = _centrosymmetric_kernels(s)["random"].action.copy()
+    a[:, [0, -1]] = 0.0
+    k = sp.OperatorKernel(grid=s.grid, action=a)
+    assert _centrosymmetric(a)
+    diag = hm.diag.copy()
+    diag[-1] += 100.0 * hm.norm_max
+    moved = sp.HamiltonianMatrix(grid=hm.grid, diag=diag, offdiag=hm.offdiag)
+    assert not moved.palindromic
+    t = moved.to_dense()
+    c = a @ t - t @ a
+    top = np.abs(c[: n - n // 2]).max() / moved.norm_max
+    assert dense_commutator(k, moved) > top * (1 + 1e-9)
+    assert sp.check_commutator(k, moved) == _matches(dense_commutator(k, moved))
+
+
+def test_unfolded_alternation_keeps_the_row_block_formula(qc_199):
+    # An asymmetric spectrum is one sector with the identity fold: its
+    # residuals are those of the whole-row blocks, bit for bit.
+    s, u, n = qc_199, qc_199.modes, 199
+    hm = sp.assemble(sp.named("quartic_cubic"), s.grid)
+    assert not s.folded and not hm.palindromic
+    for k in (sp.build_parity(s), sp.build_triparity(s)):
+        for w in (sp.GradingWeights.alternating(n), sp.GradingWeights.cube_roots(n)):
+            a, wv = k.action, w.values
+            parts = [(a.real, wv.real)]
+            if np.iscomplexobj(a) or np.iscomplexobj(wv):
+                parts.append((a.imag if np.iscomplexobj(a) else None, wv.imag))
+            squared = np.zeros(n)
+            for rows in _row_blocks(n):
+                for part, weights in parts:
+                    r = u[rows] * -weights
+                    if part is not None:
+                        r += part[rows] @ u
+                    squared += (r**2).sum(axis=0)
+            assert sp.check_alternation(k, s, w) == np.sqrt(squared).max()
+
+
+def test_centrosymmetry_is_read_from_the_entries(harmonic_199, qc_199):
+    assert _centrosymmetric(sp.build_triparity(harmonic_199).action)
+    assert not _centrosymmetric(sp.build_triparity(qc_199).action)
+    j = sp.reflection_action(harmonic_199.grid).action
+    assert _centrosymmetric(j)
+    moved = j.copy()
+    moved[-1, 1] = 1.0  # one entry in the last row block
+    assert not _centrosymmetric(moved)
+
+
+def test_hermiticity_guard_reads_every_row_block():
+    # Hermitian except for one entry in the last row block: the gap is the
+    # dense norm, not the 0.0 of an exactly Hermitian kernel.
+    n = 80
+    rng = np.random.default_rng(29)
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = b + b.conj().T
+    a[n - 1, n - 3] += 1e-3  # also outside the first block of columns
+    dense = np.abs(np.linalg.eigvalsh((a - a.conj().T) / 1j)).max()
+    assert dense > 1e-4
+    gap = sp.spectral_hermiticity_gap(sp.OperatorKernel(grid=sp.make_grid(-1, 1, n), action=a))
+    assert gap == pytest.approx(dense, abs=1e-12)
 
 
 # Each check may allocate at most this many n x n float64 arrays beyond its
