@@ -218,6 +218,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(k, str) or k.strip().upper() not in ("P", "Q"):
             raise ConfigError(f"kernels must be P or Q, got {k!r}")
     kernels = tuple(dict.fromkeys(k.strip().upper() for k in kernels))  # in order, each once
+    if not kernels:
+        raise ConfigError("kernels must name at least one of P and Q")
 
     save_modes = doc.get("save_modes", False)
     if not isinstance(save_modes, bool):

@@ -26,7 +26,7 @@ from .errors import (
     TruncatedSpectrumError,
 )
 from .grids import Grid, require_same_grid
-from .schrodinger import Spectrum, _row_blocks, _sectors
+from .schrodinger import Spectrum, _dyad_blocks, _dyad_rows
 from .serial import fmt_rows
 
 UNIT_MODULUS_TOL = 1e-12
@@ -141,38 +141,6 @@ def _mode_block(s: Spectrum, truncate: int | None) -> np.ndarray:
     return s.modes[:, :truncate]
 
 
-def _dyad_rows(block: np.ndarray, weights, rows: slice = slice(None)) -> np.ndarray:
-    """Rows ``rows`` of the real dyad sum sum_n weights_n u_n u_n^T over the columns of block."""
-    return (block[rows] * weights) @ block.T
-
-
-def _dyad_blocks(s: Spectrum, u: np.ndarray, weights: np.ndarray, scratch: np.ndarray | None = None):
-    """Row blocks (rows, G[rows]) of the real dyad sum G = sum_k weights_k u_k u_k^T.
-
-    u holds the first modes of s. For an unfolded spectrum the blocks cover
-    all n rows, each formed as ``_dyad_rows`` forms it. A folded spectrum's
-    G is centrosymmetric: only its top h = n - n//2 rows are yielded, and
-    G[n-1-i] = G[i, ::-1] gives the others. Each top row is written from the
-    half-size products Y_e and Y_o of the even and odd sectors (``_sectors``,
-    which gets ``scratch``): G[i, j] = Y_e + Y_o for j < h and
-    G[i, n-1-j] = Y_e - Y_o for j < n//2, a quarter of the whole product.
-    """
-    n = u.shape[0]
-    if not s.folded:
-        for rows in _row_blocks(n):
-            yield rows, _dyad_rows(u, weights, rows)
-        return
-    m, h = n // 2, n - n // 2
-    even, odd = _sectors(s, u, scratch)
-    for rows in _row_blocks(h):
-        y_e = _dyad_rows(even, weights[0::2], rows)
-        y_o = _dyad_rows(odd, weights[1::2], rows)
-        g = np.empty((len(y_e), n))
-        np.add(y_e, y_o, out=g[:, :h])
-        np.subtract(y_e[:, m - 1 :: -1], y_o[:, m - 1 :: -1], out=g[:, h:])
-        yield rows, g
-
-
 def build_graded(s: Spectrum, w, truncate: int | None = None) -> OperatorKernel:
     """Grading operator A = sum_n w_n u_n u_n^T for unimodular weights.
 
@@ -180,9 +148,9 @@ def build_graded(s: Spectrum, w, truncate: int | None = None) -> OperatorKernel:
     each block's real and imaginary dyad sums go straight into the parts of
     one preallocated complex A, so no whole real product is held beside it.
     The blocked products match the whole ones to rounding, not bit for bit.
-    A folded spectrum's A is written on its top rows and mirrored into the
-    rest, so it is centrosymmetric bit for bit. Real weights take one GEMM
-    over all rows.
+    A folded spectrum's A is written on its top rows, from views of U's
+    parity sectors, and mirrored into the rest, so it is centrosymmetric
+    bit for bit. Real weights take one GEMM over all rows.
     """
     if not isinstance(w, GradingWeights):
         w = GradingWeights(np.asarray(w))
@@ -195,10 +163,8 @@ def build_graded(s: Spectrum, w, truncate: int | None = None) -> OperatorKernel:
         n = block.shape[0]
         top = n - n // 2 if s.folded else n
         action = np.empty((n, n), complex)
-        # the sectors are copied into the rows below the top, which are written last
-        scratch = action[top:].view(float)
         for part, weights in ((action.real, w.values.real), (action.imag, w.values.imag)):
-            for rows, g in _dyad_blocks(s, block, weights, scratch):
+            for rows, g in _dyad_blocks(s, block, weights):
                 part[rows] = g
         action[top:] = action[: n - top][::-1, ::-1]
     else:

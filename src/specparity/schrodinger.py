@@ -52,6 +52,14 @@ def _max_abs(c: np.ndarray) -> float:
     return abs(float(max(c.max(), -c.min())))  # abs: an all -0.0 C gives 0.0, as |C| does
 
 
+def _rows_equal(count: int, left, right) -> bool:
+    """Whether left(rows) == right(rows) exactly for every row block of 0..count-1.
+
+    Stops at the first row block with an unequal entry.
+    """
+    return all(np.array_equal(left(rows), right(rows)) for rows in _row_blocks(count))
+
+
 def _identity_defect(c: np.ndarray, first_row: int = 0) -> float:
     """max|C - I| where C holds rows first_row.. of a matrix; C is overwritten.
 
@@ -157,12 +165,11 @@ class Spectrum:
             return
         u = self.modes
         n, signs = u.shape[0], (-1.0) ** np.arange(u.shape[1])
-        for rows in _row_blocks(n - n // 2):  # row i against row n-1-i
-            top, bottom = u[rows], u[n - rows.stop : n - rows.start][::-1]
-            if not np.array_equal(bottom, top * signs):
-                raise ValueError(
-                    "the modes of a folded spectrum must be exact mirrors, u_k[::-1] == (-1)^k u_k"
-                )
+        # row n-1-i against row i
+        if not _rows_equal(n - n // 2, lambda r: u[n - r.stop : n - r.start][::-1], lambda r: u[r] * signs):
+            raise ValueError(
+                "the modes of a folded spectrum must be exact mirrors, u_k[::-1] == (-1)^k u_k"
+            )
 
     @property
     def phi(self) -> np.ndarray:
@@ -228,7 +235,9 @@ def _solve_folded(hm: HamiltonianMatrix):
     n, d, e = hm.n, hm.diag, hm.offdiag
     m = n // 2
     root2 = np.sqrt(2.0)
-    modes = np.empty((n, n))  # first, so the odd block reuses the even block's freed memory
+    # first, so the odd block reuses the even block's freed memory; column-major,
+    # as stemr returns U, so that the parity sectors are BLAS-ready views
+    modes = np.empty((n, n), order="F")
     alternating = np.empty(n)
     for parity, cols in ((1.0, slice(0, None, 2)), (-1.0, slice(1, None, 2))):
         size = n - m if parity > 0 else m
@@ -307,44 +316,84 @@ def solve(hm: HamiltonianMatrix) -> Spectrum:
         energies, modes = _eigh_tridiagonal(hm.diag, hm.offdiag)
         _check_simple(energies)
     _fix_signs(modes)
-
-    r = min(_GRAM_CHECK_RANK, hm.n)
-    gram = modes[:, :r].T @ modes[:, :r] - np.eye(r)
-    if np.abs(gram).max() > _GRAM_TOL:
-        raise EigensolverError(
-            f"eigenvector orthonormality defect {np.abs(gram).max():.3e} exceeds {_GRAM_TOL:g}"
-        )
-
     for arr in (energies, modes):
         arr.flags.writeable = False
-    return Spectrum(grid=hm.grid, energies=energies, modes=modes, folded=reflective)
+    s = Spectrum(grid=hm.grid, energies=energies, modes=modes, folded=reflective)
+    defect = check_orthonormality(s, min(_GRAM_CHECK_RANK, hm.n))
+    if defect > _GRAM_TOL:
+        raise EigensolverError(f"eigenvector orthonormality defect {defect:.3e} exceeds {_GRAM_TOL:g}")
+    return s
 
 
-def _sectors(s: Spectrum, u: np.ndarray, scratch: np.ndarray | None = None):
-    """The parity sectors of u, the first u.shape[1] modes of s, one at a time.
+def _sectors(s: Spectrum, u: np.ndarray) -> tuple:
+    """The parity sectors of u, the first u.shape[1] modes of s, as views of u.
 
     An unfolded spectrum is one sector, u itself. A folded one is two: the
-    top h = n - n//2 rows of the even and of the odd columns of u, copied so
-    that BLAS can take them, into ``scratch`` (a C-contiguous array of at
-    least h * u.shape[1] floats) when one is given, else each into a new
-    array, so a caller that drops one sector before it takes the next holds
-    one at a time. The rows below the top are their mirror images,
-    u[n-1-i, k] = (-1)^k u[i, k], and the middle row of an odd n is zero in
-    the odd sector.
+    top h = n - n//2 rows of the even and of the odd columns of u. U is
+    column-major on both solve paths, so each sector has unit row stride
+    and BLAS takes it as it is. The rows below the top are their mirror
+    images, u[n-1-i, k] = (-1)^k u[i, k], and the middle row of an odd n is
+    zero in the odd sector.
     """
     if not s.folded:
-        yield u
-        return
+        return (u,)
     h = u.shape[0] - u.shape[0] // 2
-    flat = None if scratch is None else scratch.reshape(-1)
-    for parity in (0, 1):
-        cols = u[:h, parity::2]
-        if flat is None:
-            yield np.array(cols)  # not bound here, so it is freed when the caller drops it
-        else:
-            sector, flat = flat[: cols.size].reshape(cols.shape), flat[cols.size :]
-            sector[...] = cols
-            yield sector
+    return u[:h, 0::2], u[:h, 1::2]
+
+
+def _dyad_rows(block: np.ndarray, weights, rows: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` of the real dyad sum sum_n weights_n u_n u_n^T over the columns of block."""
+    return (block[rows] * weights) @ block.T
+
+
+def _dyad_blocks(s: Spectrum, u: np.ndarray, weights: np.ndarray):
+    """Row blocks (rows, G[rows]) of the real dyad sum G = sum_k weights_k u_k u_k^T.
+
+    u holds the first modes of s. For an unfolded spectrum the blocks cover
+    all n rows, each formed as ``_dyad_rows`` forms it. A folded spectrum's
+    G is centrosymmetric: only its top h = n - n//2 rows are yielded, and
+    G[n-1-i] = G[i, ::-1] gives the others. Each top row is written from the
+    half-size products Y_e and Y_o of the even and odd sectors (``_sectors``,
+    views of u): G[i, j] = Y_e + Y_o for j < h and G[i, n-1-j] = Y_e - Y_o
+    for j < n//2, a quarter of the whole product.
+    """
+    n = u.shape[0]
+    if not s.folded:
+        for rows in _row_blocks(n):
+            yield rows, _dyad_rows(u, weights, rows)
+        return
+    m, h = n // 2, n - n // 2
+    even, odd = _sectors(s, u)
+    for rows in _row_blocks(h):
+        y_e = _dyad_rows(even, weights[0::2], rows)
+        y_o = _dyad_rows(odd, weights[1::2], rows)
+        g = np.empty((len(y_e), n))
+        np.add(y_e, y_o, out=g[:, :h])
+        np.subtract(y_e[:, m - 1 :: -1], y_o[:, m - 1 :: -1], out=g[:, h:])
+        yield rows, g
+
+
+def _dyad_defect(s: Spectrum, weights: np.ndarray, bands: HamiltonianMatrix) -> float:
+    """max|sum_n weights_n u_n u_n^T - B| over all modes of s, for a tridiagonal B.
+
+    The dyad sum is formed in row blocks (``_dyad_blocks``) and B is
+    subtracted through its bands. Of a folded spectrum only the top rows of
+    the sum are formed; the others are their mirror images, so their defect
+    is that of the top rows against J B J, whose bands are B's reversed.
+    That mirror pass runs only when B's bands are not palindromic: else
+    J B J is B, and it would find the maximum the direct pass finds.
+    """
+    if not s.is_full:
+        raise TruncatedSpectrumError(f"a dyad-sum defect needs all {s.grid.n} modes, got {s.n_modes}")
+    mirror = None
+    if s.folded and not bands.palindromic:
+        mirror = HamiltonianMatrix(grid=bands.grid, diag=bands.diag[::-1], offdiag=bands.offdiag[::-1])
+    worst = 0.0
+    for rows, g in _dyad_blocks(s, s.modes, weights):
+        if mirror is not None:
+            worst = max(worst, _max_abs(mirror.subtract_from(g.copy(), rows.start)))
+        worst = max(worst, _max_abs(bands.subtract_from(g, rows.start)))
+    return worst
 
 
 def check_orthonormality(s: Spectrum, rank: int) -> float:
@@ -373,18 +422,13 @@ def check_completeness(s: Spectrum) -> float:
 
     Equals the discrete completeness statement max |h * sum_n
     phi_n(x_i) phi_n(x_j) - delta_ij|; requires the full spectrum. The sum
-    is formed in row blocks with unit weights, as the gradings are. Of a
-    folded spectrum only the top rows are formed: the rest are their mirror
-    images, and so are the rows of the identity.
+    is formed in row blocks with unit weights, as the gradings are, and the
+    identity is subtracted as the tridiagonal with a unit diagonal and zero
+    off-diagonals (``_dyad_defect``).
     """
-    from .operators import _dyad_blocks  # here: operators imports this module
-
-    if not s.is_full:
-        raise TruncatedSpectrumError(
-            f"completeness needs all {s.grid.n} modes, got {s.n_modes}"
-        )
-    blocks = _dyad_blocks(s, s.modes, np.ones(s.n_modes))
-    return max(_identity_defect(g, rows.start) for rows, g in blocks)
+    n = s.grid.n
+    identity = HamiltonianMatrix(grid=s.grid, diag=np.ones(n), offdiag=np.zeros(n - 1))
+    return _dyad_defect(s, np.ones(s.n_modes), identity)
 
 
 def count_nodes(s: Spectrum, k: int) -> int:

@@ -29,21 +29,16 @@ from .errors import (
     UnnormalizedStateError,
 )
 from .grids import Grid, require_same_grid
-from .operators import (
-    GradingWeights,
-    OperatorKernel,
-    _dyad_blocks,
-    _mode_block,
-    build_parity,
-    build_triparity,
-)
+from .operators import GradingWeights, OperatorKernel, build_parity, build_triparity
 from .potentials import Potential, is_even
 from .schrodinger import (
     HamiltonianMatrix,
     Spectrum,
+    _dyad_defect,
     _identity_defect,
     _max_abs,
     _row_blocks,
+    _rows_equal,
     _sectors,
     assemble,
     check_completeness,
@@ -160,11 +155,7 @@ def _hermitian(a: np.ndarray) -> bool:
     Stops at the first row block with an unequal entry; the same verdict as
     ``check_hermiticity(k) == 0.0``, which reads every block.
     """
-    for rows in _row_blocks(a.shape[0]):
-        mirror = a[:, rows].T
-        if not np.array_equal(a[rows], mirror.conj() if np.iscomplexobj(a) else mirror):
-            return False
-    return True
+    return _rows_equal(a.shape[0], lambda r: a[r], lambda r: a[:, r].T.conj())
 
 
 def _centrosymmetric(a: np.ndarray) -> bool:
@@ -177,10 +168,7 @@ def _centrosymmetric(a: np.ndarray) -> bool:
     n and not at others, and either verdict is sound.
     """
     n = a.shape[0]
-    for rows in _row_blocks(n - n // 2):
-        if not np.array_equal(a[n - rows.stop : n - rows.start][::-1, ::-1], a[rows]):
-            return False
-    return True
+    return _rows_equal(n - n // 2, lambda r: a[n - r.stop : n - r.start][::-1, ::-1], lambda r: a[r])
 
 
 def spectral_hermiticity_gap(k: OperatorKernel) -> float:
@@ -315,11 +303,12 @@ def check_alternation(k: OperatorKernel, s: Spectrum, w: GradingWeights | None =
     whole of Re A copied for every block.
 
     A folded spectrum's modes are exact mirrors, u_k[n-1-j] = (-1)^k u_k[j],
-    so A U is formed from its two parity sectors (``_sectors``): each row
-    block of A is folded by columns, A[:, j] + A[:, n-1-j] (the middle
-    column of an odd n once) against the even sector and A[:, j] - A[:, n-1-j]
-    against the odd one. That reads every entry of A, assumes nothing about
-    it, and halves the flops. When A is also its own mirror image
+    so A U is formed from its two parity sectors (``_sectors``, views of
+    the column-major U, taken one after the other): each row block of A is
+    folded by columns, A[:, j] + A[:, n-1-j] (the middle column of an odd n
+    once) against the even sector and A[:, j] - A[:, n-1-j] against the odd
+    one. That reads every entry of A, assumes nothing about it, and halves
+    the flops. When A is also its own mirror image
     (``_centrosymmetric``), R[n-1-i] = (-1)^k R[i], so only the top
     n - n//2 rows are formed, each counted twice but the middle row of an
     odd n. An unfolded spectrum is one sector with the identity fold.
@@ -351,9 +340,7 @@ def check_alternation(k: OperatorKernel, s: Spectrum, w: GradingWeights | None =
     top = h if s.folded and _centrosymmetric(a) else n
     squared = np.zeros(s.n_modes)
     # the columns of R in one sector depend on that sector alone, so each is taken in turn
-    sectors = _sectors(s, u)  # not zipped: zip would hold the last sector while it takes the next
-    for cols, fold in folds:
-        sector = next(sectors)
+    for (cols, fold), sector in zip(folds, _sectors(s, u)):
         for rows in _row_blocks(top):
             for part, weights in parts:
                 r = u[rows, cols] * -weights[cols]
@@ -364,7 +351,6 @@ def check_alternation(k: OperatorKernel, s: Spectrum, w: GradingWeights | None =
                 if top < n:  # a top row stands for its mirror too; the middle row of an odd n once
                     r[: max(min(rows.stop, m) - rows.start, 0)] *= 2.0
                 squared[cols] += r.sum(axis=0)
-        del sector  # freed before the next sector is copied
     return float(np.sqrt(squared).max())
 
 
@@ -422,24 +408,14 @@ def check_conservation(p: OperatorKernel, s: Spectrum, psi0, times) -> float:
 
 
 def _reconstruction_defect(s: Spectrum, hm: HamiltonianMatrix) -> float:
-    """||U diag(E) U^T - T||_max / ||T||_max from row blocks of the dyad sum, T by bands.
-
-    Of a folded spectrum only the top rows of the dyad sum are formed. The
-    others are their mirror images, so their defect is that of the top rows
-    against the mirror image J T J of T, whose bands are T's reversed.
-    """
-    mirror = None
-    if s.folded:
-        mirror = HamiltonianMatrix(grid=hm.grid, diag=hm.diag[::-1], offdiag=hm.offdiag[::-1])
-    worst = 0.0
-    for rows, g in _dyad_blocks(s, _mode_block(s, None), s.energies):
-        if mirror is not None:
-            worst = max(worst, _max_abs(mirror.subtract_from(g.copy(), rows.start)))
-        worst = max(worst, _max_abs(hm.subtract_from(g, rows.start)))
-    return worst / hm.norm_max
+    """||U diag(E) U^T - T||_max / ||T||_max from row blocks of the dyad sum, T by bands."""
+    return _dyad_defect(s, s.energies, hm) / hm.norm_max
 
 
 def _gaussian_state(grid: Grid, center: float = 1.0, width: float = 1.0) -> np.ndarray:
+    """A unit Gaussian at ``center``, moved to the nearest end of the grid when
+    outside it, so that it cannot underflow to a zero vector."""
+    center = min(max(center, grid.points[0]), grid.points[-1])
     g = np.exp(-((grid.points - center) ** 2) / (2.0 * width * width))
     return g / np.linalg.norm(g)
 
@@ -458,7 +434,6 @@ def run_suite(
     *,
     omega_branch: int = +1,
     spectrum: Spectrum | None = None,
-    conservation_times=None,
 ) -> VerificationReport:
     """Run the whole verification pipeline and aggregate a report.
 
@@ -470,8 +445,6 @@ def run_suite(
     """
     tol = dict(DEFAULT_TOLERANCES)
     tol.update((name, _tolerance(name, value)) for name, value in (tolerances or {}).items())
-    if conservation_times is None:
-        conservation_times = np.linspace(0.0, 10.0, 101)
     timings, results = [], []
 
     def timed_stage(name, fn, *args):
@@ -489,7 +462,7 @@ def run_suite(
 
     hm = timed_stage("assemble", assemble, v, grid)
     s = spectrum if spectrum is not None else timed_stage("solve", solve, hm)
-    times = conservation_times
+    times = np.linspace(0.0, 10.0, 101)  # the conservation checks' grid of t
     psi_super = (s.modes[:, 0] + s.modes[:, 1]) / np.sqrt(2.0)
     # name, builder, its arguments after the spectrum (also the weights' after
     # the mode count), weights, order identity and m, Hermiticity target (None:

@@ -614,3 +614,22 @@ def test_export_of_an_overflowing_kernel_exits_2_and_leaves_no_files(tmp_path, m
         )
     assert code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_export_of_an_empty_kernel_list_exits_2_before_the_output_directory_is_made(
+    tmp_path, capsys, monkeypatch, source
+):
+    monkeypatch.setattr(sp.cli, "solve", None)  # a solve would raise TypeError, exit 3
+    out = tmp_path / "out"
+    argv = ["export-kernel", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--n", 5, "--out", out]
+    if source == "flag":
+        argv += ["--kernels", ","]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kernels": []}))
+        argv += ["--config", config]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "kernels" in err
+    assert not out.exists()

@@ -14,7 +14,7 @@ import pytest
 
 import specparity as sp
 from specparity.cli import main
-from specparity.schrodinger import _row_blocks
+from specparity.schrodinger import _row_blocks, _sectors
 from specparity.verify import _centrosymmetric, _reconstruction_defect, reflection_defect
 
 from test_schrodinger import DOUBLE_WELL
@@ -483,3 +483,49 @@ def test_sweep_allocates_at_most_its_budget(tmp_path):
     code, arrays = _allocated_arrays(main, argv, n=SWEEP_N)
     assert code == 0
     assert arrays <= SWEEP_BUDGET_ARRAYS, f"sweep allocated {arrays:.2f} n x n arrays"
+
+
+@pytest.mark.parametrize("n", [4, 5, 199])
+@pytest.mark.parametrize("name, x_max", [("harmonic", 8), ("quartic_cubic", 10)])
+def test_solve_returns_column_major_modes(name, x_max, n):
+    # both solve paths: stemr's U as it is, and the unfolded blocks of a palindromic T
+    s = sp.solve(sp.assemble(sp.named(name), sp.make_grid(-x_max, x_max, n)))
+    assert s.folded == (name == "harmonic")
+    assert s.modes.flags.f_contiguous
+
+
+@pytest.mark.parametrize("n", [199, 200])
+def test_folded_sectors_are_views_of_the_modes(n, qc_199):
+    _, s = _solved(n)
+    h = n - n // 2
+    for m in sorted({n, n // 2 + 1}):
+        (even, odd), arrays = _allocated_arrays(_sectors, s, s.modes[:, :m], n=n)
+        # two view objects and no data: a copy of the even sector alone is 8 * h * ceil(m/2) bytes
+        assert arrays * 8.0 * n * n < 1024
+        for sector, first in ((even, 0), (odd, 1)):
+            assert np.shares_memory(sector, s.modes)
+            assert sector.strides[0] == s.modes.itemsize  # unit row stride: BLAS takes it as it is
+            assert np.array_equal(sector, s.modes[:h, first:m:2])
+    (whole,) = _sectors(qc_199, qc_199.modes)
+    assert whole is qc_199.modes
+
+
+@pytest.mark.parametrize("n", [199, 200])
+def test_checks_do_not_depend_on_the_layout_of_the_modes(n):
+    # a row-major copy of a folded spectrum goes through the same sector code,
+    # whose sectors BLAS then takes through copies
+    hm, s = _solved(n)
+    rows = dataclasses.replace(s, modes=np.ascontiguousarray(s.modes))
+    assert rows.folded and rows.modes.flags.c_contiguous and not rows.modes.flags.f_contiguous
+    p, q = sp.build_parity(s), sp.build_triparity(s)
+    cube = sp.GradingWeights.cube_roots(n)
+    checks = (
+        sp.check_completeness,
+        lambda x: sp.check_orthonormality(x, n),
+        lambda x: _reconstruction_defect(x, hm),
+        lambda x: sp.check_alternation(p, x),
+        lambda x: sp.check_alternation(q, x, cube),
+    )
+    for check in checks:
+        assert check(rows) == pytest.approx(check(s), rel=1e-12)
+    assert np.abs(sp.build_triparity(rows).action - q.action).max() <= 1e-15

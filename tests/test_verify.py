@@ -411,3 +411,10 @@ def test_report_carries_stage_timings(qc_suite):
     assert all(seconds >= 0.0 for seconds in doc["timings"].values())
     # timings are unstable like the per-check seconds, so they leave together
     assert "timings" not in json.loads(qc_suite.to_json(include_seconds=False))
+
+
+def test_gaussian_state_off_the_grid_keeps_the_conservation_check_finite():
+    # a grid far from x = 1, where a unit Gaussian centred there underflows to zero
+    report = sp.run_suite(sp.named("harmonic"), sp.make_grid(-50, -40, 49))
+    (gaussian,) = [c for c in report.checks if c.name == "conservation_gaussian"]
+    assert 0.0 <= gaussian.residual <= gaussian.tolerance
