@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,7 +46,6 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
     sweep_n: list | None = None  # for the sweep command: sorted, distinct, at least 3
     out: Path = Path(".")
-    jobs: int = 1
     save_modes: bool = False
     kernels: tuple = ("P",)
 
@@ -205,6 +203,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     tolerances = {name: _tolerance(name, val) for name, val in tolerances.items()}
     tolerances.update(_parse_tol_overrides(args.tol))
 
+    # --jobs is validated and has no effect: the sweep runs in one thread
     jobs = args.jobs if args.jobs is not None else _count(doc.get("jobs", 1), "jobs")
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
@@ -260,7 +259,6 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         tolerances=tolerances,
         sweep_n=sweep_n,
         out=out,
-        jobs=jobs,
         save_modes=getattr(args, "save_modes", False) or save_modes,
         kernels=kernels,
     )
@@ -313,14 +311,15 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-def _sweep_point(cfg: ExperimentConfig, n: int):
+def _sweep_row(cfg: ExperimentConfig, n: int, levels: int, even: bool) -> tuple:
+    """Grid n solved and reduced to its row.
+
+    The row is n, h, E_0.., ||P - J|| (even V), m, and ||P_m - J|| (even V)
+    or ||P_m - P||; the spectrum is dropped on return.
+    """
     grid = make_grid(cfg.x_min, cfg.x_max, n)
     spectrum = solve(assemble(cfg.potential, grid))
-    return grid, spectrum
-
-
-def _sweep_row(grid: Grid, spectrum: Spectrum, levels: int, even: bool, truncate: int | None) -> tuple:
-    """n, h, E_0.., ||P - J|| (even V), m, and ||P_m - J|| (even V) or ||P_m - P||."""
+    truncate = cfg.truncate
     refl = reflection_defect(build_parity(spectrum)) if even else None
     trunc_resid = None
     if truncate is not None:
@@ -336,14 +335,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     first = make_grid(cfg.x_min, cfg.x_max, ns[0])
     even = first.symmetric and is_even(cfg.potential, first)
 
-    # The pool only solves. This thread turns each spectrum into its row as
-    # it arrives, in n order, and builds the parity operators itself: builds
-    # in the workers would leave their freed arrays in per-thread malloc arenas.
-    rows = []
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        for point in pool.map(lambda n: _sweep_point(cfg, n), ns):
-            rows.append(_sweep_row(*point, levels, even, cfg.truncate))
-            del point  # no spectrum is held while the next one is awaited
+    # Each grid is solved, reduced to its row and dropped before the next, in
+    # this thread: scipy's stemr holds the GIL, so worker threads would not
+    # overlap, and BLAS already spreads each product over the cores.
+    rows = [_sweep_row(cfg, n, levels, even) for n in ns]
 
     hs = np.array([row[1] for row in rows])
     energies = np.array([row[2] for row in rows])
@@ -406,7 +401,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--omega-branch", choices=["+", "-"], help="triparity branch sign")
     common.add_argument("--tol", action="append", metavar="CHECK=VALUE", help="tolerance override (repeatable)")
     common.add_argument("--out", help="output directory (default .)")
-    common.add_argument("--jobs", type=int, help="parallel sweep workers (default 1)")
+    common.add_argument(
+        "--jobs", type=int,
+        help="accepted and checked (>= 1) but has no effect: scipy's stemr holds the GIL, "
+             "so the sweep solves in one thread and BLAS uses the cores",
+    )
     common.add_argument("--config", help="JSON config file; flags override its values")
 
     parser = argparse.ArgumentParser(

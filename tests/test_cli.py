@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +509,22 @@ def test_sweep_parallel_output_matches_serial(tmp_path):
     assert (tmp_path / "serial" / "sweep.csv").read_bytes() == (
         tmp_path / "parallel" / "sweep.csv"
     ).read_bytes()
+
+
+def test_sweep_solves_in_the_calling_thread(tmp_path, monkeypatch):
+    # --jobs is accepted and checked, but every grid is solved in this thread
+    threads = []
+
+    def recording_solve(hm):
+        threads.append(threading.get_ident())
+        return sp.solve(hm)
+
+    monkeypatch.setattr(sp.cli, "solve", recording_solve)
+    assert run_cli(
+        ["sweep", "--potential", "harmonic", "--xmin", -8, "--xmax", 8,
+         "--sweep-n", "49,99,199", "--jobs", 3, "--out", tmp_path]
+    ) == 0
+    assert threads == [threading.get_ident()] * 3
 
 
 def test_export_kernel_harmonic_matches_reflection(tmp_path):

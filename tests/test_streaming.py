@@ -378,6 +378,63 @@ def test_hermiticity_guard_reads_every_row_block():
     assert gap == pytest.approx(dense, abs=1e-12)
 
 
+def _dense_gap(a):
+    return np.abs(np.linalg.eigvalsh((a - a.conj().T) / 1j)).max()
+
+
+@pytest.mark.parametrize("n", FOLD_SIZES)
+def test_block_hermiticity_gap_matches_dense_eigvalsh(n):
+    # a centrosymmetric A is taken as its two half-size fold blocks
+    _, s = _solved(n)
+    for k in _centrosymmetric_kernels(s).values():
+        assert sp.spectral_hermiticity_gap(k) == pytest.approx(_dense_gap(k.action), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_block_hermiticity_gap_with_an_exactly_hermitian_odd_block(n):
+    # Rows with A[i, j] == A[i, n-1-j] make B_o = 0 exactly, so Lanczos must
+    # not run on it, while B_e is far from Hermitian.
+    m = n // 2
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    middle = rng.standard_normal((m, n - 2 * m)) + 1j * rng.standard_normal((m, n - 2 * m))
+    top = np.hstack([x, middle, x[:, ::-1]])
+    centre = rng.standard_normal((n - 2 * m, m)) + 1j * rng.standard_normal((n - 2 * m, m))
+    centre = np.hstack([centre, rng.standard_normal((n - 2 * m, n - 2 * m)), centre[:, ::-1]])
+    a = np.vstack([top, centre, top[::-1, ::-1]])
+    assert _centrosymmetric(a)
+    assert np.array_equal(a[:m, :m] - a[:m, ::-1][:, :m], np.zeros((m, m)))
+    gap = sp.spectral_hermiticity_gap(sp.OperatorKernel(grid=sp.make_grid(-1, 1, n), action=a))
+    assert gap == pytest.approx(_dense_gap(a), rel=1e-12)
+    assert gap > 1.0
+
+
+def test_non_centrosymmetric_hermiticity_gap_is_the_whole_matrix_lanczos(harmonic_199):
+    # Oracle: one Lanczos run on the real embedding of the whole A, as the
+    # gap is computed when A is not its own mirror image.
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    q = sp.build_triparity(harmonic_199)
+    moved = _moved(q, (198, 1))
+    assert not _centrosymmetric(moved.action)
+    for a in (moved.action, moved.action.real):
+        n = a.shape[0]
+
+        def embedded(v):
+            v = np.ravel(v)
+            x, y = v[:n], v[n:]
+            if not np.iscomplexobj(a):
+                return np.concatenate([a @ y - y @ a, x @ a - a @ x])
+            z = x + 1j * y
+            az, atz = a @ z, z.conj() @ a
+            return np.concatenate([az.imag + atz.imag, atz.real - az.real])
+
+        op = LinearOperator((2 * n, 2 * n), matvec=embedded, dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(2 * n)
+        whole = float(np.abs(eigsh(op, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)).max())
+        assert sp.spectral_hermiticity_gap(sp.OperatorKernel(grid=q.grid, action=a)) == whole
+
+
 # Each check may allocate at most this many n x n float64 arrays beyond its
 # inputs. At n=400 the eight row blocks hold 50 rows each. tracemalloc sees
 # numpy's array buffers, but not the copy matmul makes of an operand BLAS
@@ -468,21 +525,21 @@ def test_suite_allocates_at_most_its_budget(name, x_max):
     assert arrays <= SUITE_BUDGET_ARRAYS, f"run_suite allocated {arrays:.2f} n x n arrays"
 
 
-# A sweep reduces each spectrum to its row as the pool hands it over, so its
-# peak is the largest grid's U and one parity operator at a time, plus any
-# spectrum the pool has solved ahead. Holding every spectrum until the pool
-# is done adds the smaller grids' U (0.69 x 8n^2 here) and the parity
-# operators built beside them.
+# A sweep reduces each spectrum to its row before it solves the next grid,
+# so its peak is the largest grid's U and one parity operator at a time.
+# Holding every spectrum until the last solve adds the smaller grids' U
+# (0.69 x 8n^2 here) and the parity operators built beside them.
 SWEEP_N = 349
 SWEEP_BUDGET_ARRAYS = 3.5
 
 
 def test_sweep_allocates_at_most_its_budget(tmp_path):
-    argv = ["sweep", "--potential", "harmonic", "--xmin", "-8", "--xmax", "8",
-            "--sweep-n", f"149,249,{SWEEP_N}", "--truncate", "40", "--jobs", "1", "--out", str(tmp_path)]
-    code, arrays = _allocated_arrays(main, argv, n=SWEEP_N)
-    assert code == 0
-    assert arrays <= SWEEP_BUDGET_ARRAYS, f"sweep allocated {arrays:.2f} n x n arrays"
+    for jobs in ("1", "2"):
+        argv = ["sweep", "--potential", "harmonic", "--xmin", "-8", "--xmax", "8",
+                "--sweep-n", f"149,249,{SWEEP_N}", "--truncate", "40", "--jobs", jobs, "--out", str(tmp_path)]
+        code, arrays = _allocated_arrays(main, argv, n=SWEEP_N)
+        assert code == 0
+        assert arrays <= SWEEP_BUDGET_ARRAYS, f"sweep --jobs {jobs} allocated {arrays:.2f} n x n arrays"
 
 
 @pytest.mark.parametrize("n", [4, 5, 199])
