@@ -334,6 +334,11 @@ def check_cube(k: OperatorKernel) -> float:
 def check_alternation(k: OperatorKernel, s: Spectrum, w: GradingWeights | None = None) -> float:
     """max_n ||A u_n - w_n u_n||_2 for the expected eigenvalue sequence w.
 
+    For an operator built from the same spectrum, A = U W U^T, this is an
+    identity of the construction given orthonormality:
+    A U - U W = U W (U^T U - I). So for such an A it measures how far
+    U^T U is from I, weighted by U W.
+
     The residual R = A U - U diag(w) is formed one row block at a time and
     its squared column norms are summed over the blocks. U is real, so a
     complex A or w is taken one real part at a time, as real GEMMs:

@@ -308,6 +308,23 @@ def test_kernel_writers_match_the_17g_oracle_byte_for_byte(tmp_path, qc_199, whi
         assert (tmp_path / txt).read_bytes() == _oracle_lines(k.kernel, " ").encode()
 
 
+@pytest.mark.parametrize("which", ["parity", "triparity"])
+def test_kernel_writers_without_x87_long_double_match_the_17g_oracle(tmp_path, qc_199, monkeypatch, which):
+    from specparity import serial
+
+    k = sp.build_parity(qc_199) if which == "parity" else sp.build_triparity(qc_199)
+    sp.write_kernel(k, tmp_path / "x87.csv", tmp_path / "x87.txt")
+    calls = []
+    monkeypatch.setattr(serial, "_LONG_DOUBLE_IS_X87", False)  # as where long double is not x87
+    monkeypatch.setattr(serial, "fmt_float", lambda x, fmt=serial.fmt_float: calls.append(x) or fmt(x))
+    sp.write_kernel(k, tmp_path / "k.csv", tmp_path / "k.txt")
+    assert len(calls) == k.grid.n + k.kernel.view(np.float64).size  # every value, header included
+    header = ",".join(_oracle_17g(x) for x in k.grid.points) + "\n"
+    assert (tmp_path / "k.csv").read_bytes() == (header + _oracle_lines(k.kernel, ",")).encode()
+    assert (tmp_path / "k.txt").read_bytes() == _oracle_lines(k.kernel, " ").encode()
+    assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "x87.csv").read_bytes()
+
+
 @pytest.mark.parametrize("index", [0, 1], ids=["real", "complex"])
 def test_kernel_rows_are_the_kernel_bitwise(index):
     k = _edge_kernels()[index]
@@ -334,17 +351,24 @@ def test_row_formatter_leaves_its_input_untouched():
 
 @pytest.mark.parametrize("scale", [1e307, 1e307 + 1e307j])
 def test_kernel_writers_reject_a_kernel_that_overflows(tmp_path, scale):
+    from specparity import serial
+
     grid = sp.make_grid(-1, 1, 99)
     assert grid.h < 1
-    k = sp.OperatorKernel(grid=grid, action=np.full((99, 99), scale))
-    with np.errstate(over="ignore"):
-        assert not np.isfinite(k.kernel).all()
-        with pytest.raises(ValueError, match="non-finite"):
-            sp.write_kernel_csv(k, tmp_path / "k.csv")
-        with pytest.raises(ValueError, match="non-finite"):
-            sp.write_kernel_txt(k, tmp_path / "k.txt")
-        with pytest.raises(ValueError, match="non-finite"):
-            sp.write_kernel(k, tmp_path / "k.csv", tmp_path / "k.txt")
+    last_row = np.ones((99, 99), type(scale))
+    last_row[-1, -1] = scale  # its only inf, in a later batch than the first
+    assert 98 * 99 >= serial._BATCH_VALUES
+    for action in (np.full((99, 99), scale), last_row):
+        k = sp.OperatorKernel(grid=grid, action=action)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(k.kernel).all()
+            with pytest.raises(ValueError, match="non-finite"):
+                sp.write_kernel_csv(k, tmp_path / "k.csv")
+            with pytest.raises(ValueError, match="non-finite"):
+                sp.write_kernel_txt(k, tmp_path / "k.txt")
+            with pytest.raises(ValueError, match="non-finite"):
+                sp.write_kernel(k, tmp_path / "k.csv", tmp_path / "k.txt")
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("scale", [1e307, 1e307 + 1e307j])
