@@ -132,7 +132,7 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return _section(doc, path, "potential grid suite sweep out jobs save_modes kernels")
+    return _section(doc, path, "potential grid suite sweep out save_modes kernels")
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -175,24 +175,26 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     elif "h_values" in sweep_doc:
         sweep_n = [_n_for_spacing(x_min, x_max, h) for h in _entries(sweep_doc["h_values"], "sweep.h_values")]
 
-    if args.n is not None:
+    if getattr(args, "n", None) is not None:
         n = int(args.n)
     elif grid_doc.get("n") is not None:
         n = _count(grid_doc["n"], "grid.n")
     elif sweep_n:
         n = max(sweep_n)
-    else:
-        raise ConfigError("missing --n (flag or config file)")
+    else:  # sweep has no --n flag: its sizes are what is missing
+        raise ConfigError("sweep needs at least 3 grid sizes (--sweep-n or config)" if args.command == "sweep"
+                          else "missing --n (flag or config file)")
 
-    branch_text = args.omega_branch if args.omega_branch is not None else suite_doc.get("omega_branch", "+")
+    branch_text = getattr(args, "omega_branch", None) or suite_doc.get("omega_branch", "+")
     if branch_text not in ("+", "-"):
         raise ConfigError(f"suite.omega_branch must be '+' or '-', got {branch_text!r}")
 
-    trunc_text = args.truncate if args.truncate is not None else suite_doc.get("truncate", "full")
+    trunc_flag = getattr(args, "truncate", None)
+    trunc_text = trunc_flag if trunc_flag is not None else suite_doc.get("truncate", "full")
     if isinstance(trunc_text, str) and trunc_text.lower() == "full":
         truncate = None
     else:
-        if args.truncate is not None:  # flag text; a file value must be a JSON integer
+        if trunc_flag is not None:  # flag text; a file value must be a JSON integer
             with suppress(ValueError):
                 trunc_text = int(trunc_text)
         truncate = _count(trunc_text, "--truncate / suite.truncate (or 'full')")
@@ -201,12 +203,11 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
     tolerances = _section(suite_doc.get("tolerances", {}), "suite.tolerances")
     tolerances = {name: _tolerance(name, val) for name, val in tolerances.items()}
-    tolerances.update(_parse_tol_overrides(args.tol))
+    tolerances.update(_parse_tol_overrides(getattr(args, "tol", None)))
 
-    # --jobs is validated and has no effect: the sweep runs in one thread
-    jobs = args.jobs if args.jobs is not None else _count(doc.get("jobs", 1), "jobs")
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    # sweep --jobs is validated and has no effect: the sweep runs in one thread
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
 
     kernels_text = getattr(args, "kernels", None)
     if kernels_text:
@@ -391,22 +392,17 @@ def cmd_export_kernel(cfg: ExperimentConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # parent parsers for the flag groups that several subcommands read
+    common, grid_n, truncate, branch = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     common.add_argument("--potential", choices=sorted(NAMED_POTENTIALS), help="named potential family")
     common.add_argument("--poly", help="comma-separated polynomial coefficients c0,c1,...")
     common.add_argument("--xmin", type=float, help="left domain edge")
     common.add_argument("--xmax", type=float, help="right domain edge")
-    common.add_argument("--n", type=int, help="number of interior grid points")
-    common.add_argument("--truncate", help="mode truncation M, or 'full'")
-    common.add_argument("--omega-branch", choices=["+", "-"], help="triparity branch sign")
-    common.add_argument("--tol", action="append", metavar="CHECK=VALUE", help="tolerance override (repeatable)")
     common.add_argument("--out", help="output directory (default .)")
-    common.add_argument(
-        "--jobs", type=int,
-        help="accepted and checked (>= 1) but has no effect: scipy's stemr holds the GIL, "
-             "so the sweep solves in one thread and BLAS uses the cores",
-    )
     common.add_argument("--config", help="JSON config file; flags override its values")
+    grid_n.add_argument("--n", type=int, help="number of interior grid points")
+    truncate.add_argument("--truncate", help="mode truncation M, or 'full'")
+    branch.add_argument("--omega-branch", choices=["+", "-"], help="triparity branch sign")
 
     parser = argparse.ArgumentParser(
         prog="specparity",
@@ -414,19 +410,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[common], help="solve the eigenproblem, write spectrum.csv")
+    p_solve = sub.add_parser("solve", parents=[common, grid_n], help="solve the eigenproblem, write spectrum.csv")
     p_solve.add_argument("--save-modes", action="store_true", help="include eigenfunction samples in spectrum.csv")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the verification suite, write report.json")
+    p_verify = sub.add_parser("verify", parents=[common, grid_n, branch],
+                              help="run the verification suite, write report.json")
+    p_verify.add_argument("--tol", action="append", metavar="CHECK=VALUE", help="tolerance override (repeatable)")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="grid-refinement study, write sweep.csv")
+    p_sweep = sub.add_parser("sweep", parents=[common, truncate], help="grid-refinement study, write sweep.csv")
     p_sweep.add_argument("--sweep-n", help="comma-separated interior point counts")
     p_sweep.add_argument("--sweep-h", help="comma-separated target spacings")
+    p_sweep.add_argument(
+        "--jobs", type=int,
+        help="accepted and checked (>= 1) but has no effect: scipy's stemr holds the GIL, "
+             "so the sweep solves in one thread and BLAS uses the cores",
+    )
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_export = sub.add_parser("export-kernel", parents=[common], help="dump operator kernels as CSV/text")
+    p_export = sub.add_parser("export-kernel", parents=[common, grid_n, truncate, branch],
+                              help="dump operator kernels as CSV/text")
     p_export.add_argument("--kernels", help="comma-separated subset of P,Q (default P)")
     p_export.set_defaults(func=cmd_export_kernel)
     return parser

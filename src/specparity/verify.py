@@ -213,9 +213,9 @@ def _lanczos_gap(a: np.ndarray) -> float:
 def spectral_hermiticity_gap(k: OperatorKernel) -> float:
     """Spectral norm of A - A^dagger (reported for non-Hermitian gradings).
 
-    An exactly Hermitian A gives 0.0. Otherwise the norm comes from
-    ``_lanczos_gap``: on A itself, or, when A is its own mirror image
-    (``_centrosymmetric``, checked entry by entry), on two half-size blocks.
+    The norm comes from ``_lanczos_gap``: on A itself, or, when A is its
+    own mirror image (``_centrosymmetric``, checked entry by entry), on two
+    half-size blocks.
     With m = n//2 and h = n - m, the orthogonal fold F whose columns are
     (e_j +- e_{n-1-j})/sqrt(2) for j < m, and e_m for an odd n, gives
     F^T A F = diag(B_e, B_o), formed from A's top rows:
@@ -226,12 +226,12 @@ def spectral_hermiticity_gap(k: OperatorKernel) -> float:
     B_e[m, j] = sqrt(2) A[m, j] and B_e[m, m] = A[m, m]. F is real, so
     F^T (A - A^dagger) F = diag(B_e - B_e^dagger, B_o - B_o^dagger), and
     the norm is the larger of the two block norms. The blocks are held one
-    at a time in one h x h buffer. A block can be exactly Hermitian when A
-    is not, and then gives 0.0 by the same guard.
+    at a time in one h x h buffer. An exactly Hermitian block gives 0.0 in
+    ``_lanczos_gap``. So does an exactly Hermitian A: if A is also
+    centrosymmetric, conj(B_e[j, i]) = A[i, j] + A[n-1-i, j] = B_e[i, j]
+    exactly, and likewise for B_o and the sqrt(2)-scaled middle entries.
     """
     a = k.action
-    if _hermitian(a):
-        return 0.0
     if not _centrosymmetric(a):
         return _lanczos_gap(a)
     n = k.n

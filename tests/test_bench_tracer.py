@@ -1,10 +1,15 @@
-"""The benchmark's tracer finds the functions it wraps by name.
+"""The benchmark's tracer finds the functions it wraps by name, and its workloads parse.
 
-A rename in ``src/`` that drops one of them breaks every traced benchmark
-run; this test shows it in the fast suite.
+A rename in ``src/`` that drops one of them, or a CLI change that rejects a
+workload's argument list, breaks every benchmark run; these tests show it
+in the fast suite.
 """
 import importlib
 from pathlib import Path
+
+import pytest
+
+from specparity import cli
 
 
 def test_every_traced_function_resolves(monkeypatch):
@@ -17,3 +22,14 @@ def test_every_traced_function_resolves(monkeypatch):
         if not callable(getattr(importlib.import_module(modname), fname, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("kind", ["argv", "smoke_argv"])
+def test_every_workload_argv_passes_the_set_up_probe(tmp_path, monkeypatch, kind):
+    # the benchmark's set-up probe: parse the argument list and build its config
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        argv = [*getattr(workload, kind), "--out", str(tmp_path / name)]
+        assert cli.build_config(cli._build_parser().parse_args(argv)).out.is_dir(), name

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -497,6 +498,79 @@ def test_input_errors_exit_2_before_the_output_directory_is_made(tmp_path, capsy
     out = tmp_path / "out"
     assert run_cli([*argv, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+VALID_ARGV = {
+    "solve": ["solve", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--n", 49],
+    "verify": ["verify", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--n", 49],
+    "sweep": ["sweep", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--sweep-n", "49,99,199"],
+    "export-kernel": ["export-kernel", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--n", 49],
+}
+# (command, flag and value) pairs whose flag the command would not read
+UNREAD_FLAGS = [
+    ("solve", ["--truncate", 20]),
+    ("solve", ["--omega-branch", "-"]),
+    ("solve", ["--tol", "completeness=1e-3"]),
+    ("solve", ["--jobs", 2]),
+    ("verify", ["--truncate", 20]),
+    ("verify", ["--jobs", 2]),
+    ("sweep", ["--n", 49]),
+    ("sweep", ["--omega-branch", "-"]),
+    ("sweep", ["--tol", "completeness=1e-3"]),
+    ("export-kernel", ["--tol", "completeness=1e-3"]),
+    ("export-kernel", ["--jobs", 2]),
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=[f"{c}{f[0]}" for c, f in UNREAD_FLAGS])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, monkeypatch, command, flag):
+    monkeypatch.setattr(sp.cli, "solve", None)  # a solve would raise TypeError, exit 3
+    out = tmp_path / "out"
+    assert run_cli([*VALID_ARGV[command], *flag, "--out", out]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+    flags = {
+        "solve": "--potential --poly --xmin --xmax --n --out --config --save-modes",
+        "verify": "--potential --poly --xmin --xmax --n --out --config --omega-branch --tol",
+        "sweep": "--potential --poly --xmin --xmax --out --config --truncate --sweep-n --sweep-h --jobs",
+        "export-kernel": "--potential --poly --xmin --xmax --n --out --config --truncate --omega-branch --kernels",
+    }
+    parser = sp.cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        command: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for command, p in sub.choices.items()
+    }
+    assert accepted == {command: set(text.split()) for command, text in flags.items()}
+
+
+def test_sweep_jobs_below_one_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli([*VALID_ARGV["sweep"], "--jobs", 0, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: --jobs must be >= 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "export-kernel"])
+@pytest.mark.parametrize("value", ["0", "some"])
+def test_a_bad_truncation_exits_2_before_the_output_directory_is_made(tmp_path, capsys, command, value):
+    # the two commands that read --truncate check its value
+    out = tmp_path / "out"
+    assert run_cli([*VALID_ARGV[command], "--truncate", value, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --truncate") and value in err
+    assert not out.exists()
+
+
+def test_sweep_without_sizes_asks_for_sizes_not_for_n(tmp_path, capsys):
+    # sweep has no --n flag, so a missing grid is reported as missing sizes
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: sweep needs at least 3 grid sizes (--sweep-n or config)\n"
     assert not out.exists()
 
 

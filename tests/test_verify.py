@@ -46,6 +46,21 @@ def test_hermiticity_gap_of_hermitian_kernels_is_zero(qc_199):
     assert sp.spectral_hermiticity_gap(sp.build_parity(qc_199)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_hermiticity_gap_of_a_hermitian_centrosymmetric_kernel_needs_no_lanczos(monkeypatch, n):
+    # its fold blocks, the middle row and column of an odd n too, are exactly Hermitian
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = b + b.conj().T
+    a = h + h[::-1, ::-1]
+
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("eigsh ran on an exactly Hermitian operand")
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_lanczos)
+    assert sp.spectral_hermiticity_gap(sp.OperatorKernel(grid=sp.make_grid(-1, 1, n), action=a)) == 0.0
+
+
 def test_commutator_examples(qc_199):
     hm = sp.assemble(sp.named("quartic_cubic"), qc_199.grid)
     assert sp.check_commutator(sp.build_parity(qc_199), hm) <= 1e-10
