@@ -21,11 +21,11 @@ import numpy as np
 
 from .errors import ConfigError, SuiteStageError
 from .grids import Grid, make_grid
-from .operators import build_parity, build_triparity, write_kernel
-from .potentials import NAMED_POTENTIALS, Potential, is_even, named, polynomial
+from .operators import build_parity, gradings, write_kernel
+from .potentials import NAMED_POTENTIALS, Potential, named, polynomial
 from .schrodinger import Spectrum, assemble, solve
 from .serial import fmt_float, fmt_rows
-from .verify import _tolerance, reflection_defect, run_suite
+from .verify import _tolerance, check_reflection_reduction, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -33,6 +33,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _RICHARDSON_RTOL = 1e-9  # h-matching tolerance for the 2:1 sweep pair
+_KERNELS = tuple(gradings())  # the labels --kernels takes; the first is the default
 
 
 @dataclass
@@ -47,7 +48,7 @@ class ExperimentConfig:
     sweep_n: list | None = None  # for the sweep command: sorted, distinct, at least 3
     out: Path = Path(".")
     save_modes: bool = False
-    kernels: tuple = ("P",)
+    kernels: tuple = _KERNELS[:1]
 
     def grid(self) -> Grid:
         return make_grid(self.x_min, self.x_max, self.n)
@@ -213,13 +214,13 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if kernels_text:
         kernels = [tok for tok in kernels_text.split(",") if tok.strip()]
     else:
-        kernels = _entries(doc["kernels"], "kernels") if "kernels" in doc else ["P"]
+        kernels = _entries(doc["kernels"], "kernels") if "kernels" in doc else [_KERNELS[0]]
     for k in kernels:
-        if not isinstance(k, str) or k.strip().upper() not in ("P", "Q"):
-            raise ConfigError(f"kernels must be P or Q, got {k!r}")
+        if not isinstance(k, str) or k.strip().upper() not in _KERNELS:
+            raise ConfigError(f"kernels must be {' or '.join(_KERNELS)}, got {k!r}")
     kernels = tuple(dict.fromkeys(k.strip().upper() for k in kernels))  # in order, each once
     if not kernels:
-        raise ConfigError("kernels must name at least one of P and Q")
+        raise ConfigError(f"kernels must name at least one of {' and '.join(_KERNELS)}")
 
     save_modes = doc.get("save_modes", False)
     if not isinstance(save_modes, bool):
@@ -312,34 +313,33 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-def _sweep_row(cfg: ExperimentConfig, n: int, levels: int, even: bool) -> tuple:
+def _sweep_row(cfg: ExperimentConfig, n: int, levels: int) -> tuple:
     """Grid n solved and reduced to its row.
 
-    The row is n, h, E_0.., ||P - J|| (even V), m, and ||P_m - J|| (even V)
-    or ||P_m - P||; the spectrum is dropped on return.
+    The row is n, h, E_0.., ||P - J||, m, and ||P_m - J|| where ``check_reflection_reduction``
+    applies, else None and ||P_m - P||; the spectrum is dropped on return.
     """
     grid = make_grid(cfg.x_min, cfg.x_max, n)
     spectrum = solve(assemble(cfg.potential, grid))
-    truncate = cfg.truncate
-    refl = reflection_defect(build_parity(spectrum)) if even else None
+    parity = build_parity(spectrum)
+    refl = check_reflection_reduction(parity, cfg.potential, grid)
     trunc_resid = None
-    if truncate is not None:
-        trunc = build_parity(spectrum, truncate=truncate)
-        trunc_resid = (reflection_defect(trunc) if even
-                       else float(np.abs(trunc.action - build_parity(spectrum).action).max()))
-    return grid.n, grid.h, spectrum.energies[:levels], refl, truncate, trunc_resid
+    if cfg.truncate is not None:
+        trunc = build_parity(spectrum, truncate=cfg.truncate)
+        trunc_resid = check_reflection_reduction(trunc, cfg.potential, grid)
+        if trunc_resid is None:
+            trunc_resid = float(np.abs(trunc.action - parity.action).max())
+    return grid.n, grid.h, spectrum.energies[:levels], refl, cfg.truncate, trunc_resid
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     ns = cfg.sweep_n
     levels = min(10, ns[0])
-    first = make_grid(cfg.x_min, cfg.x_max, ns[0])
-    even = first.symmetric and is_even(cfg.potential, first)
 
     # Each grid is solved, reduced to its row and dropped before the next, in
     # this thread: scipy's stemr holds the GIL, so worker threads would not
     # overlap, and BLAS already spreads each product over the cores.
-    rows = [_sweep_row(cfg, n, levels, even) for n in ns]
+    rows = [_sweep_row(cfg, n, levels) for n in ns]
 
     hs = np.array([row[1] for row in rows])
     energies = np.array([row[2] for row in rows])
@@ -379,11 +379,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 def cmd_export_kernel(cfg: ExperimentConfig) -> int:
     grid = cfg.grid()
     spectrum = solve(assemble(cfg.potential, grid))
+    table = gradings(cfg.omega_branch)
     for label in cfg.kernels:
-        if label == "P":
-            kern = build_parity(spectrum, truncate=cfg.truncate)
-        else:
-            kern = build_triparity(spectrum, cfg.omega_branch, truncate=cfg.truncate)
+        kern = table[label].build(spectrum, cfg.truncate)
         csv_path = cfg.out / f"kernel_{label}.csv"
         txt_path = cfg.out / f"kernel_{label}.txt"
         write_kernel(kern, csv_path, txt_path)
@@ -431,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export-kernel", parents=[common, grid_n, truncate, branch],
                               help="dump operator kernels as CSV/text")
-    p_export.add_argument("--kernels", help="comma-separated subset of P,Q (default P)")
+    p_export.add_argument("--kernels", help=f"comma-separated subset of {','.join(_KERNELS)} (default {_KERNELS[0]})")
     p_export.set_defaults(func=cmd_export_kernel)
     return parser
 

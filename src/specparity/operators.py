@@ -14,6 +14,7 @@ else, which keeps stray h factors out of the operator identities.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 
@@ -187,6 +188,25 @@ def build_triparity(s: Spectrum, branch: int = +1, truncate: int | None = None) 
     """Triparity operator: cube-root-of-unity grading. Unitary, not Hermitian."""
     m = s.n_modes if truncate is None else truncate
     return build_graded(s, GradingWeights.cube_roots(m, branch), truncate)
+
+
+# A row of ``gradings``: the prefix of its check names, build(s, truncate=None),
+# weights(mode count), the order m of A^m = I, and ||A - A^dagger||_2 (None: Hermitian).
+Grading = namedtuple("Grading", "name build weights order target")
+
+
+def gradings(branch: int = +1) -> dict:
+    """The grading table, kernel label -> ``Grading``; the first label is the default kernel.
+
+    Built on each call. ``build`` looks ``build_parity`` or ``build_triparity`` up in this
+    module when it runs, so a rebinding of that name (a profiler's wrapper) sees every build.
+    """
+    return {
+        "P": Grading("parity", lambda s, truncate=None: build_parity(s, truncate),
+                     GradingWeights.alternating, 2, None),
+        "Q": Grading("triparity", lambda s, truncate=None: build_triparity(s, branch, truncate),
+                     lambda m: GradingWeights.cube_roots(m, branch), 3, np.sqrt(3.0)),
+    }
 
 
 def reconstruct_hamiltonian(s: Spectrum) -> OperatorKernel:

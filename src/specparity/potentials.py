@@ -112,8 +112,8 @@ def evaluate(v: Potential, x):
     return val
 
 
-def is_even(v: Potential, grid: Grid, tol: float = EVENNESS_TOL) -> bool:
-    """Whether V(x) == V(-x) on the grid, within tol relative to max |V|.
+def is_even(v: Potential, grid: Grid) -> bool:
+    """Whether V(x) == V(-x) on the grid, within EVENNESS_TOL relative to max |V|.
 
     On a symmetric grid -x_i is itself a grid point, so the comparison is
     between the sample vector and its reversal.
@@ -122,4 +122,4 @@ def is_even(v: Potential, grid: Grid, tol: float = EVENNESS_TOL) -> bool:
         raise AsymmetricGridError("evenness is only defined on a symmetric grid")
     vals = np.asarray(evaluate(v, grid.points))
     resid = np.abs(vals - vals[::-1]).max()
-    return bool(resid <= tol * (1.0 + np.abs(vals).max()))
+    return bool(resid <= EVENNESS_TOL * (1.0 + np.abs(vals).max()))

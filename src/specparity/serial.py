@@ -248,9 +248,9 @@ def _format_batch(table, sep: str):
         start = end
 
 
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    close = " " * (indent * level)
+def _render(obj, level: int) -> str:
+    pad = " " * (2 * (level + 1))
+    close = " " * (2 * level)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -265,23 +265,23 @@ def _render(obj, indent: int, level: int) -> str:
         if not obj:
             return "{}"
         items = ",\n".join(
-            f"{pad}{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
+            f"{pad}{json.dumps(str(k))}: {_render(v, level + 1)}"
             for k, v in obj.items()
         )
         return "{\n" + items + "\n" + close + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(f"{pad}{_render(v, indent, level + 1)}" for v in obj)
+        items = ",\n".join(f"{pad}{_render(v, level + 1)}" for v in obj)
         return "[\n" + items + "\n" + close + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     """Render a JSON document with 17-significant-digit floats.
 
     The stdlib encoder formats floats with repr, which is shortest-form;
     this renderer pins the documented 17g format instead. Key order is
     preserved, so output is byte-stable for a fixed input structure.
     """
-    return _render(obj, indent, 0) + "\n"
+    return _render(obj, 0) + "\n"

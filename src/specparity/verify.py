@@ -29,7 +29,7 @@ from .errors import (
     UnnormalizedStateError,
 )
 from .grids import Grid, require_same_grid
-from .operators import GradingWeights, OperatorKernel, build_parity, build_triparity
+from .operators import GradingWeights, OperatorKernel, gradings
 from .potentials import Potential, is_even
 from .schrodinger import (
     HamiltonianMatrix,
@@ -51,6 +51,7 @@ from .serial import dumps
 NORM_TOL = 1e-10
 GAP_WARNING_ABS = 1e-8
 NODE_AUDIT_MAX = 50
+ORDER_NAMES = {2: "involution", 3: "cube"}  # the name of each grading's A^m = I check
 
 DEFAULT_TOLERANCES = {
     "completeness": 1e-10,
@@ -456,11 +457,11 @@ def _reconstruction_defect(s: Spectrum, hm: HamiltonianMatrix) -> float:
     return _dyad_defect(s, s.energies, hm) / hm.norm_max
 
 
-def _gaussian_state(grid: Grid, center: float = 1.0, width: float = 1.0) -> np.ndarray:
-    """A unit Gaussian at ``center``, moved to the nearest end of the grid when
+def _gaussian_state(grid: Grid) -> np.ndarray:
+    """A unit-width Gaussian at x = 1, moved to the nearest end of the grid when
     outside it, so that it cannot underflow to a zero vector."""
-    center = min(max(center, grid.points[0]), grid.points[-1])
-    g = np.exp(-((grid.points - center) ** 2) / (2.0 * width * width))
+    center = min(max(1.0, grid.points[0]), grid.points[-1])
+    g = np.exp(-((grid.points - center) ** 2) / 2.0)
     return g / np.linalg.norm(g)
 
 
@@ -484,8 +485,8 @@ def run_suite(
     ``spectrum`` may be supplied to bypass the solve stage, which is how
     negative controls (deliberately corrupted bases) are driven through the
     same checks; the report's stage timings then have no ``solve`` entry.
-    One grading operator is alive at a time: each is built, checked and
-    dropped before the next. Check order in the report is alphabetical by name.
+    The rows of ``gradings(omega_branch)`` are built, checked and dropped one
+    at a time. Check order in the report is alphabetical by name.
     """
     tol = dict(DEFAULT_TOLERANCES)
     tol.update((name, _tolerance(name, value)) for name, value in (tolerances or {}).items())
@@ -508,29 +509,19 @@ def run_suite(
     s = spectrum if spectrum is not None else timed_stage("solve", solve, hm)
     times = np.linspace(0.0, 10.0, 101)  # the conservation checks' grid of t
     psi_super = (s.modes[:, 0] + s.modes[:, 1]) / np.sqrt(2.0)
-    # name, builder, its arguments after the spectrum (also the weights' after
-    # the mode count), weights, order identity and m, Hermiticity target (None:
-    # Hermitian), checks only this grading takes. Built per call, so it holds
-    # the current module bindings, which bench/spans.py rebinds to time calls.
-    gradings = (
-        ("parity", build_parity, (), GradingWeights.alternating, "involution", 2, None, (
-            ("reflection_reduction", lambda p: check_reflection_reduction(p, v, grid)),
-            ("conservation_superposition", lambda p: check_conservation(p, s, psi_super, times)),
-            ("conservation_gaussian", lambda p: check_conservation(p, s, _gaussian_state(grid), times)),
-        )),
-        ("triparity", build_triparity, (omega_branch,), GradingWeights.cube_roots, "cube", 3, np.sqrt(3.0), ()),
-    )
-    for name, build, args, weights, order, m, target, extra in gradings:
-        op = timed_stage(f"build_{name}", build, s, *args)
-        if target is None:
-            check(f"{name}_hermiticity", check_hermiticity, op)
+    for g in gradings(omega_branch).values():
+        op = timed_stage(f"build_{g.name}", g.build, s)
+        if g.target is None:
+            check(f"{g.name}_hermiticity", check_hermiticity, op)
         else:
-            check(f"{name}_nonhermiticity", lambda: abs(spectral_hermiticity_gap(op) - target))
-        check(f"{name}_commutator", check_commutator, op, hm)
-        check(f"{name}_{order}", check_order, op, m)
-        check(f"{name}_alternation", lambda: check_alternation(op, s, weights(s.n_modes, *args)))
-        for extra_name, fn in extra:
-            check(extra_name, fn, op)
+            check(f"{g.name}_nonhermiticity", lambda: abs(spectral_hermiticity_gap(op) - g.target))
+        check(f"{g.name}_commutator", check_commutator, op, hm)
+        check(f"{g.name}_{ORDER_NAMES[g.order]}", check_order, op, g.order)
+        check(f"{g.name}_alternation", lambda: check_alternation(op, s, g.weights(s.n_modes)))
+        if g.name == "parity":  # the checks only the parity takes
+            check("reflection_reduction", check_reflection_reduction, op, v, grid)
+            check("conservation_superposition", check_conservation, op, s, psi_super, times)
+            check("conservation_gaussian", lambda: check_conservation(op, s, _gaussian_state(grid), times))
         del op  # dropped before the next grading is built
 
     def node_audit() -> float:

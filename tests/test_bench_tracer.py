@@ -33,3 +33,24 @@ def test_every_workload_argv_passes_the_set_up_probe(tmp_path, monkeypatch, kind
     for name, workload in WORKLOADS.items():
         argv = [*getattr(workload, kind), "--out", str(tmp_path / name)]
         assert cli.build_config(cli._build_parser().parse_args(argv)).out.is_dir(), name
+
+
+def test_the_tracer_sees_each_grading_build(tmp_path, monkeypatch):
+    # the grading table looks its builders up when it builds, so the tracer's wrappers see each build
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from spans import ALL_TARGETS, Tracer
+
+    grid = ["--potential", "harmonic", "--xmin", "-8", "--xmax", "8", "--n", "99"]
+    commands = (["verify", *grid], ["export-kernel", *grid, "--kernels", "P,Q"])
+    tracer = Tracer(ALL_TARGETS)
+    tracer.install()
+    try:
+        for op_id, argv in enumerate(commands):
+            with tracer.op(op_id):
+                assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+    finally:
+        tracer.uninstall()
+    for op_id, argv in enumerate(commands):
+        names = [span.name for span in tracer.op_spans(op_id)]
+        assert names.count("operators.build_parity") == 1, argv[0]
+        assert names.count("operators.build_triparity") == 1, argv[0]

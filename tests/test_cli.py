@@ -108,15 +108,22 @@ def test_solve_rejects_tiny_grid(tmp_path, capsys):
     assert code == 2
 
 
-def test_usage_error_exits_2(tmp_path):
+def test_usage_error_exits_2(tmp_path, capsys):
     assert run_cli(["solve", "--no-such-flag"]) == 2
     assert run_cli(["frobnicate"]) == 2
     assert run_cli(["solve", "--xmin", -8, "--xmax", 8, "--n", 99, "--out", tmp_path]) == 2
     base = ["solve", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--n", 49, "--out", tmp_path]
-    assert run_cli(base + ["--jobs", 0]) == 2
-    assert run_cli(base + ["--truncate", "0"]) == 2
-    assert run_cli(base + ["--truncate", "some"]) == 2
     assert run_cli(base + ["--poly", "0,0,1"]) == 2  # both potential flags
+    capsys.readouterr()
+    # each value goes to a command that reads the flag, so its value check, not argparse, refuses it
+    for argv, check in (
+        ([*VALID_ARGV["sweep"], "--jobs", 0], "error: --jobs must be >= 1"),
+        ([*VALID_ARGV["sweep"], "--truncate", "0"], "error: --truncate must be >= 1"),
+        ([*VALID_ARGV["export-kernel"], "--truncate", "some"], "error: --truncate / suite.truncate"),
+    ):
+        assert run_cli([*argv, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(check) and "unrecognized arguments" not in err
 
 
 @pytest.mark.parametrize("command", ["solve", "export-kernel"])
@@ -310,12 +317,24 @@ def test_verify_reports_are_reproducible(tmp_path):
     assert stable(out_a / "report.json") == stable(out_b / "report.json")
 
 
-def test_verify_omega_branch_flag(tmp_path):
-    code = run_cli(
-        ["verify", "--potential", "quartic_cubic", "--xmin", -10, "--xmax", 10,
-         "--n", 199, "--out", tmp_path, "--omega-branch", "-"]
-    )
-    assert code == 0
+def test_verify_omega_branch_flag(tmp_path, monkeypatch):
+    # the branch reaches every triparity build, of the suite and of the export
+    build, branches = sp.operators.build_triparity, []
+
+    def spy(s, branch=+1, truncate=None):
+        branches.append(branch)
+        return build(s, branch, truncate)
+
+    monkeypatch.setattr(sp.operators, "build_triparity", spy)
+    argv = ["--potential", "quartic_cubic", "--xmin", -10, "--xmax", 10, "--n", 199, "--omega-branch", "-"]
+    assert run_cli(["verify", *argv, "--out", tmp_path / "verify"]) == 0
+    assert run_cli(["export-kernel", *argv, "--kernels", "Q", "--out", tmp_path / "export"]) == 0
+    assert branches == [-1, -1]
+    spectrum = sp.solve(sp.assemble(sp.named("quartic_cubic"), sp.make_grid(-10, 10, 199)))
+    expected = build(spectrum, -1).kernel
+    exported = np.loadtxt(tmp_path / "export" / "kernel_Q.csv", delimiter=",", skiprows=1, dtype=complex)
+    assert np.array_equal(exported, expected)
+    assert np.array_equal(expected, build(spectrum, +1).kernel.conj())  # the conjugate of the + branch
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -683,7 +702,7 @@ def test_export_builds_and_writes_a_repeated_kernel_once(tmp_path, capsys, monke
         builds.append(truncate)
         return sp.build_parity(spectrum, truncate)
 
-    monkeypatch.setattr(sp.cli, "build_parity", counting)
+    monkeypatch.setattr(sp.operators, "build_parity", counting)
     assert run_cli(
         ["export-kernel", "--potential", "harmonic", "--xmin", -8, "--xmax", 8,
          "--n", 9, "--kernels", "p,P", "--out", tmp_path]
@@ -697,7 +716,7 @@ def test_export_of_an_overflowing_kernel_exits_2_and_leaves_no_files(tmp_path, m
     def overflowing(spectrum, truncate=None):
         return sp.OperatorKernel(grid=spectrum.grid, action=np.full((99, 99), 1e307))
 
-    monkeypatch.setattr("specparity.cli.build_parity", overflowing)
+    monkeypatch.setattr("specparity.operators.build_parity", overflowing)
     with np.errstate(over="ignore"):
         code = run_cli(
             ["export-kernel", "--potential", "harmonic", "--xmin", -1, "--xmax", 1,
