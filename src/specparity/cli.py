@@ -23,9 +23,9 @@ from .errors import ConfigError, SuiteStageError
 from .grids import Grid, make_grid
 from .operators import build_parity, gradings, write_kernel
 from .potentials import NAMED_POTENTIALS, Potential, named, polynomial
-from .schrodinger import Spectrum, assemble, solve
+from .schrodinger import Spectrum, _max_abs, _row_blocks, assemble, solve
 from .serial import fmt_float, fmt_rows
-from .verify import _tolerance, check_reflection_reduction, run_suite
+from .verify import _tolerance, reflection_applies, reflection_defect, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -316,19 +316,22 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 def _sweep_row(cfg: ExperimentConfig, n: int, levels: int) -> tuple:
     """Grid n solved and reduced to its row.
 
-    The row is n, h, E_0.., ||P - J||, m, and ||P_m - J|| where ``check_reflection_reduction``
-    applies, else None and ||P_m - P||; the spectrum is dropped on return.
+    The row is n, h, E_0.., ||P - J||, m, and ||P_m - J|| where ``reflection_applies``,
+    else None and ||P_m - P||; P is built only for a column that reads it, and the
+    spectrum is dropped on return.
     """
     grid = make_grid(cfg.x_min, cfg.x_max, n)
     spectrum = solve(assemble(cfg.potential, grid))
-    parity = build_parity(spectrum)
-    refl = check_reflection_reduction(parity, cfg.potential, grid)
+    applies = reflection_applies(cfg.potential, grid)
+    parity = build_parity(spectrum) if applies or cfg.truncate is not None else None
+    refl = reflection_defect(parity) if applies else None
     trunc_resid = None
     if cfg.truncate is not None:
         trunc = build_parity(spectrum, truncate=cfg.truncate)
-        trunc_resid = check_reflection_reduction(trunc, cfg.potential, grid)
-        if trunc_resid is None:
-            trunc_resid = float(np.abs(trunc.action - parity.action).max())
+        if applies:
+            trunc_resid = reflection_defect(trunc)
+        else:  # one row block of P_m - P at a time
+            trunc_resid = max(_max_abs(trunc.action[rows] - parity.action[rows]) for rows in _row_blocks(n))
     return grid.n, grid.h, spectrum.energies[:levels], refl, cfg.truncate, trunc_resid
 
 

@@ -33,12 +33,11 @@ NAMED_POTENTIALS = {
 class Potential:
     """Polynomial potential, optionally one of the named families."""
 
-    kind: str  # "named" or "polynomial"
     coefficients: tuple  # ascending powers, trailing zeros stripped
-    name: str | None = None
+    name: str | None = None  # set for the named families only
 
     def describe(self) -> dict:
-        if self.kind == "named":
+        if self.name is not None:
             return {"named": self.name}
         return {"poly": list(self.coefficients)}
 
@@ -76,7 +75,7 @@ def _validate_confining(coeffs: np.ndarray) -> tuple:
 def polynomial(coefficients) -> Potential:
     """Potential V(x) = sum_k c_k x^k from ascending coefficients."""
     coeffs = _validate_confining(np.asarray(coefficients))
-    return Potential(kind="polynomial", coefficients=coeffs)
+    return Potential(coefficients=coeffs)
 
 
 def named(name: str) -> Potential:
@@ -84,7 +83,7 @@ def named(name: str) -> Potential:
     if name not in NAMED_POTENTIALS:
         known = ", ".join(sorted(NAMED_POTENTIALS))
         raise PotentialError(f"unknown potential {name!r} (known: {known})")
-    return Potential(kind="named", coefficients=NAMED_POTENTIALS[name], name=name)
+    return Potential(coefficients=NAMED_POTENTIALS[name], name=name)
 
 
 def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
@@ -97,7 +96,7 @@ def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
 def evaluate(v: Potential, x):
     """V(x) for a scalar or an array of positions."""
     arr = np.asarray(x, dtype=float)
-    if v.kind == "named":
+    if v.name is not None:
         x2 = arr * arr
         if v.name == "harmonic":
             val = x2

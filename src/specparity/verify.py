@@ -399,16 +399,19 @@ def check_alternation(k: OperatorKernel, s: Spectrum, w: GradingWeights | None =
     return float(np.sqrt(squared).max())
 
 
-def check_reflection_reduction(p: OperatorKernel, v: Potential, grid: Grid):
-    """||A_P - J||_max when V is even on a symmetric grid, else None.
+def reflection_applies(v: Potential, grid: Grid) -> bool:
+    """Whether ||A_P - J|| is a check: V is even on a symmetric grid.
 
-    None is the not-applicable marker: for potentials without spatial
-    reflection symmetry the parity operator legitimately differs from J.
+    For potentials without spatial reflection symmetry the parity operator
+    legitimately differs from J, so a caller can skip building it.
     """
+    return grid.symmetric and is_even(v, grid)
+
+
+def check_reflection_reduction(p: OperatorKernel, v: Potential, grid: Grid):
+    """||A_P - J||_max where ``reflection_applies``, else None, the not-applicable marker."""
     require_same_grid(p.grid, grid)
-    if not grid.symmetric or not is_even(v, grid):
-        return None
-    return reflection_defect(p)
+    return reflection_defect(p) if reflection_applies(v, grid) else None
 
 
 def reflection_defect(k: OperatorKernel) -> float:
@@ -536,9 +539,7 @@ def run_suite(
 
     warnings = []
     min_gap = float(np.diff(s.energies).min()) if s.n_modes > 1 else np.inf
-    if min_gap < GAP_WARNING_ABS and any(
-        c.name == "reflection_reduction" and c.applicable for c in results
-    ):
+    if min_gap < GAP_WARNING_ABS and reflection_applies(v, grid):
         warnings.append(
             f"reflection_reduction: minimum eigenvalue gap {min_gap:.3e} is below "
             f"{GAP_WARNING_ABS:g}; parity assignment in degenerate pairs relies on "

@@ -620,6 +620,30 @@ def test_sweep_solves_in_the_calling_thread(tmp_path, monkeypatch):
     assert threads == [threading.get_ident()] * 3
 
 
+@pytest.mark.parametrize("name, x_max, truncate, per_grid", [
+    ("quartic_cubic", 10, None, []),  # both reflection columns n/a: P is never read
+    ("quartic_cubic", 10, 40, [None, 40]),  # ||P_40 - P||
+    ("harmonic", 8, None, [None]),  # ||P - J||
+    ("harmonic", 8, 40, [None, 40]),  # ||P - J|| and ||P_40 - J||
+])
+def test_sweep_builds_the_parity_only_for_a_column_that_reads_it(tmp_path, monkeypatch, name, x_max,
+                                                                 truncate, per_grid):
+    builds = []
+
+    def counting(spectrum, truncate=None):
+        builds.append(truncate)
+        return sp.build_parity(spectrum, truncate)
+
+    for module in (sp.operators, sp.cli):  # where the library and the command line look it up
+        monkeypatch.setattr(module, "build_parity", counting)
+    flags = [] if truncate is None else ["--truncate", truncate]
+    assert run_cli(
+        ["sweep", "--potential", name, "--xmin", -x_max, "--xmax", x_max,
+         "--sweep-n", "49,99,199", *flags, "--out", tmp_path]
+    ) == 0
+    assert builds == per_grid * 3
+
+
 def test_export_kernel_harmonic_matches_reflection(tmp_path):
     code = run_cli(
         ["export-kernel", "--potential", "harmonic", "--xmin", -8, "--xmax", 8,

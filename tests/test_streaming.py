@@ -526,7 +526,8 @@ def test_suite_allocates_at_most_its_budget(name, x_max):
 
 
 # A sweep reduces each spectrum to its row before it solves the next grid,
-# so its peak is the largest grid's U and one parity operator at a time.
+# and builds a parity operator only for a column that reads it, so its peak
+# is the largest grid's U and at most P and P_m (an uneven V with --truncate).
 # Holding every spectrum until the last solve adds the smaller grids' U
 # (0.69 x 8n^2 here) and the parity operators built beside them.
 SWEEP_N = 349
@@ -534,12 +535,18 @@ SWEEP_BUDGET_ARRAYS = 3.5
 
 
 def test_sweep_allocates_at_most_its_budget(tmp_path):
-    for jobs in ("1", "2"):
-        argv = ["sweep", "--potential", "harmonic", "--xmin", "-8", "--xmax", "8",
-                "--sweep-n", f"149,249,{SWEEP_N}", "--truncate", "40", "--jobs", jobs, "--out", str(tmp_path)]
-        code, arrays = _allocated_arrays(main, argv, n=SWEEP_N)
-        assert code == 0
-        assert arrays <= SWEEP_BUDGET_ARRAYS, f"sweep --jobs {jobs} allocated {arrays:.2f} n x n arrays"
+    cases = (
+        ("harmonic", "8", ["--truncate", "40"]),
+        ("quartic_cubic", "10", []),
+        ("quartic_cubic", "10", ["--truncate", "40"]),  # P and P_40 both live, beside U
+    )
+    for name, x_max, truncate in cases:
+        for jobs in ("1", "2"):
+            argv = ["sweep", "--potential", name, "--xmin", f"-{x_max}", "--xmax", x_max,
+                    "--sweep-n", f"149,249,{SWEEP_N}", *truncate, "--jobs", jobs, "--out", str(tmp_path)]
+            code, arrays = _allocated_arrays(main, argv, n=SWEEP_N)
+            assert code == 0
+            assert arrays <= SWEEP_BUDGET_ARRAYS, f"{argv} allocated {arrays:.2f} n x n arrays"
 
 
 @pytest.mark.parametrize("n", [4, 5, 199])
