@@ -8,6 +8,7 @@ eigenbasis exact identities rather than approximations.
 """
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from .errors import GridMismatchError, InvalidDomainError
 SYMMETRY_RTOL = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid:
     """Interior points x_i = x_min + (i+1) h of a uniform Dirichlet grid.
 
@@ -29,17 +30,26 @@ class Grid:
     x_min: float
     x_max: float
     n: int
-    h: float
-    points: np.ndarray
-    symmetric: bool
 
-    def __eq__(self, other):
-        if not isinstance(other, Grid):
-            return NotImplemented
-        return (self.x_min, self.x_max, self.n) == (other.x_min, other.x_max, other.n)
+    @property
+    def h(self) -> float:
+        return (self.x_max - self.x_min) / (self.n + 1)
 
-    def __hash__(self):
-        return hash((self.x_min, self.x_max, self.n))
+    @property
+    def symmetric(self) -> bool:
+        return abs(self.x_min + self.x_max) <= SYMMETRY_RTOL * (self.x_max - self.x_min)
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        if self.symmetric:
+            # Centered form: (i - (n-1)/2) is exact in floating point, so
+            # points[i] == -points[n-1-i] holds exactly, and the midpoint of
+            # an odd grid is exactly zero.
+            points = self.h * (np.arange(self.n) - (self.n - 1) / 2.0)
+        else:
+            points = self.x_min + self.h * np.arange(1, self.n + 1)
+        points.flags.writeable = False
+        return points
 
     def describe(self) -> dict:
         return {"x_min": self.x_min, "x_max": self.x_max, "n": self.n, "h": self.h}
@@ -58,17 +68,11 @@ def make_grid(x_min: float, x_max: float, n: int) -> Grid:
         raise InvalidDomainError(f"need finite bounds and width, got [{x_min}, {x_max}]")
     if n < 2:
         raise InvalidDomainError(f"need at least 2 interior points, got n={n}")
-    h = (x_max - x_min) / (n + 1)
-    symmetric = abs(x_min + x_max) <= SYMMETRY_RTOL * (x_max - x_min)
-    if symmetric:
-        # Centered form: (i - (n-1)/2) is exact in floating point, so
-        # points[i] == -points[n-1-i] holds exactly, and the midpoint of an
-        # odd grid is exactly zero.
-        points = h * (np.arange(n) - (n - 1) / 2.0)
-    else:
-        points = x_min + h * np.arange(1, n + 1)
-    points.flags.writeable = False
-    return Grid(x_min=x_min, x_max=x_max, n=n, h=h, points=points, symmetric=symmetric)
+    grid = Grid(x_min=x_min, x_max=x_max, n=n)
+    h2 = grid.h * grid.h
+    if h2 == 0 or not np.isfinite(2.0 / h2):  # the kinetic part of T's diagonal
+        raise InvalidDomainError(f"spacing h={grid.h!r} is too small: 2/h**2 is not a finite double")
+    return grid
 
 
 def require_same_grid(a: Grid, b: Grid) -> None:

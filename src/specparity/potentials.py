@@ -96,16 +96,17 @@ def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
 def evaluate(v: Potential, x):
     """V(x) for a scalar or an array of positions."""
     arr = np.asarray(x, dtype=float)
-    if v.name is not None:
-        x2 = arr * arr
-        if v.name == "harmonic":
-            val = x2
-        elif v.name == "quartic":
-            val = x2 * x2
-        else:  # quartic_cubic
-            val = x2 * x2 + x2 * arr
-    else:
-        val = _horner(v.coefficients, arr)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which assemble refuses
+        if v.name is not None:
+            x2 = arr * arr
+            if v.name == "harmonic":
+                val = x2
+            elif v.name == "quartic":
+                val = x2 * x2
+            else:  # quartic_cubic
+                val = x2 * x2 + x2 * arr
+        else:
+            val = _horner(v.coefficients, arr)
     if arr.ndim == 0:
         return float(val)
     return val

@@ -72,26 +72,15 @@ def fmt_rows(rows, sep: str):
 def _tables():
     """The constant tables, built on first use, not at import.
 
-    ``scale[e - _E_MIN]`` is 10**(16 - e) rounded to the nearest long double.
+    ``scale[e - _E_MIN]`` is 10**(16 - e) rounded to the nearest long double
+    by the C library's ``strtold``, which numpy calls to parse the text.
     The others are 8-byte cell words (see ``_templates``) indexed by value:
     ``quads[q]`` holds the four digits of q = 0..9999 at every other byte,
     ``heads[d]`` the digit d at byte 6 and ``exps[k]`` the three exponent
     digits of k = 0..999 at bytes 2-4; ``zeros[q]`` counts q's trailing
     zeros among its four digits.
     """
-    mantissas, shifts = [], []
-    for e in range(_E_MIN, _E_MAX + 1):
-        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
-        shift = num.bit_length() - den.bit_length() - 64  # num / den / 2**shift in (2**63, 2**65)
-        num, den = (num << -shift, den) if shift < 0 else (num, den << shift)
-        if num >= den << 64:
-            den, shift = den << 1, shift + 1
-        q, r = divmod(num, den)
-        mantissas.append(q + (2 * r > den or (2 * r == den and q & 1)))  # to nearest, ties to even
-        shifts.append(shift)
-    hi = np.array([q >> 32 for q in mantissas], np.longdouble)  # 32 bits each: exact
-    lo = np.array([q & 0xFFFFFFFF for q in mantissas], np.longdouble)
-    scale = np.ldexp(hi * 2.0**32 + lo, shifts)
+    scale = np.array([f"1e{16 - e}" for e in range(_E_MIN, _E_MAX + 1)], np.longdouble)
     four = np.arange(10000)
     digits = (four[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
     quads, heads, exps = (np.zeros((k, 8), np.uint8) for k in (10000, 10, 1000))

@@ -509,8 +509,14 @@ def test_sweep_requires_three_points(tmp_path):
         ["solve", "--potential", "harmonic", "--xmin", 8, "--xmax", -8, "--n", 9],
         ["sweep", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--sweep-n", "49,99,99"],
         ["export-kernel", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--n", 9, "--truncate", 20],
+        # h*h is 0 at h = 2e-301; at h = 9e-155 1/h**2 is finite but 2/h**2, in T's diagonal, is not
+        ["solve", "--poly=0,0,1", "--xmin=-1e-300", "--xmax=1e-300", "--n", 9],
+        ["verify", "--poly=0,0,1", "--xmin=-1e-300", "--xmax=1e-300", "--n", 9],
+        ["solve", "--poly=0,0,1", "--xmin=-4.5e-153", "--xmax=4.5e-153", "--n", 99],
+        ["verify", "--poly=0,0,1", "--xmin=-4.5e-153", "--xmax=4.5e-153", "--n", 99],
     ],
-    ids=["reversed_domain", "two_distinct_sweep_sizes", "truncate_above_n"],
+    ids=["reversed_domain", "two_distinct_sweep_sizes", "truncate_above_n", "h2_underflows_solve",
+         "h2_underflows_verify", "2_over_h2_overflows_solve", "2_over_h2_overflows_verify"],
 )
 def test_input_errors_exit_2_before_the_output_directory_is_made(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(sp.cli, "solve", None)  # a solve would raise TypeError, exit 3
@@ -518,6 +524,17 @@ def test_input_errors_exit_2_before_the_output_directory_is_made(tmp_path, capsy
     assert run_cli([*argv, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_verify_of_a_huge_t_has_finite_commutator_residuals(tmp_path):
+    # ||T||_max = 5e303: the rounding-level entries of A T - T A square past the
+    # double range unless they are scaled first
+    code = run_cli(["verify", "--poly=0,0,1", "--xmin=-1e-150", "--xmax=1e-150", "--n", 99, "--out", tmp_path])
+    assert code == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    for name in ("parity_commutator", "triparity_commutator"):
+        entry = next(e for e in doc["checks"] if e["name"] == name)
+        assert 0 < entry["residual"] <= 1e-14
 
 
 VALID_ARGV = {

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,10 @@ def test_uniform_spacing(args):
     assert np.all(np.diff(g.points) > 0)
 
 
-@pytest.mark.parametrize("bad", [(1, 1, 10), (2, -2, 10), (-8, 8, 1), (-8, 8, 0)])
+# the last two: h*h is 0 at h = 2e-301, and 2/h**2 (in T's diagonal) overflows at h = 9e-155
+@pytest.mark.parametrize(
+    "bad", [(1, 1, 10), (2, -2, 10), (-8, 8, 1), (-8, 8, 0), (-1e-300, 1e-300, 9), (-4.5e-153, 4.5e-153, 99)]
+)
 def test_make_grid_rejects_bad_domains(bad):
     with pytest.raises(sp.InvalidDomainError):
         sp.make_grid(*bad)
@@ -52,6 +57,23 @@ def test_make_grid_rejects_non_finite_bounds(bounds):
     # an infinite bound (or a width that overflows) would give h = inf and NaN points
     with pytest.raises(sp.InvalidDomainError):
         sp.make_grid(*bounds, 5)
+
+
+def test_a_spacing_whose_square_overflows_keeps_t_finite():
+    grid = sp.make_grid(-1e160, 1e160, 9)  # h*h is inf, so 1/h**2 is 0
+    hm = sp.assemble_from_samples(np.zeros(9), grid)
+    assert np.all(np.isfinite(hm.diag)) and np.all(np.isfinite(hm.offdiag))
+
+
+def test_grid_stores_only_its_bounds_and_size():
+    assert tuple(f.name for f in dataclasses.fields(sp.Grid)) == ("x_min", "x_max", "n")
+    g = sp.make_grid(-8, 8, 9)
+    assert g == sp.Grid(-8.0, 8.0, 9)
+    assert hash(g) == hash(sp.Grid(-8.0, 8.0, 9))
+    assert g != sp.Grid(-8.0, 8.0, 10)
+    assert (g.h, g.symmetric) == (1.6, True)
+    assert not sp.Grid(0.0, 1.0, 2).symmetric
+    assert g.points is g.points  # computed once
 
 
 def test_make_grid_rejects_non_integer_n():

@@ -51,6 +51,14 @@ def test_assemble_rejects_bad_samples():
         sp.assemble_from_samples(np.array([0.0, np.nan, 0.0, 0.0]), grid)
 
 
+@pytest.mark.parametrize("potential", [sp.polynomial([0] * 8 + [1]), sp.named("harmonic")])
+def test_an_overflowing_potential_is_refused_whatever_the_error_state(potential):
+    # both overflow on [-1e200, 1e200]: x**2 does past |x| = 1.3e154
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="potential samples must be finite"):
+            sp.assemble(potential, sp.make_grid(-1e200, 1e200, 9))
+
+
 def test_matvec_matches_dense(qc_199):
     hm = sp.assemble(sp.named("quartic_cubic"), qc_199.grid)
     rng = np.random.default_rng(5)

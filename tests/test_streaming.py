@@ -311,6 +311,40 @@ def test_top_rows_commutator_matches_the_dense_formula(n):
             assert dense_commutator(k, hm) > 1e-4
 
 
+def _two_branch_commutator(k, hm):
+    """Reference with one branch per dtype: C = A T - T A formed whole through
+    the bands, over the rows the check reads (the top half when T is
+    palindromic and A its own mirror image), then max|C| for a real A and
+    sqrt(max((Re C)^2 + (Im C)^2)) for a complex one, with no scaling. A C
+    formed with dense GEMMs rounds differently."""
+    a, n = k.action, k.n
+    top = n - n // 2 if hm.palindromic and np.array_equal(a, a[::-1, ::-1]) else n
+
+    def c(part):
+        return (hm.matvec(part.T).T - hm.matvec(part))[:top]
+
+    if np.iscomplexobj(a):
+        return float(np.sqrt((c(a.real) ** 2 + c(a.imag) ** 2).max())) / hm.norm_max
+    return float(np.abs(c(a)).max()) / hm.norm_max
+
+
+@pytest.mark.parametrize("n", [2, 3, 99, 200])
+@pytest.mark.parametrize("name, x_max", [("harmonic", 8), ("quartic_cubic", 10)])
+def test_commutator_equals_the_two_branch_formula_bit_for_bit(name, x_max, n):
+    grid = sp.make_grid(-x_max, x_max, n)
+    hm = sp.assemble(sp.named(name), grid)
+    s = sp.solve(hm)
+    rng = np.random.default_rng(n)
+    r = rng.standard_normal((n, n))
+    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    actions = [r, r + r[::-1, ::-1], c, c + c[::-1, ::-1], np.zeros((n, n)), -np.zeros((n, n))]
+    kernels = [sp.build_parity(s), sp.build_triparity(s)]
+    kernels += [sp.OperatorKernel(grid=grid, action=a) for a in actions]
+    assert hm.palindromic == (name == "harmonic")
+    for k in kernels:
+        assert sp.check_commutator(k, hm) == _two_branch_commutator(k, hm)
+
+
 @pytest.mark.parametrize("n", FOLD_SIZES[1:])
 def test_commutator_with_a_moved_t_reads_every_row(n):
     # A centrosymmetric A with zero first and last columns: moving T's last
