@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or usage
 error, 3 numerical failure or any other unexpected error. Configuration
-comes from flags, from a JSON config file, or both; flags override file
-values.
+comes from flags, from a JSON config file, or both: the flags are turned
+into a document of the file's shape and laid over the file key by key.
 """
 from __future__ import annotations
 
@@ -39,45 +39,13 @@ _KERNELS = tuple(gradings())  # the labels --kernels takes; the first is the def
 @dataclass
 class ExperimentConfig:
     potential: Potential
-    x_min: float
-    x_max: float
-    n: int
+    grids: tuple  # one Grid; for the sweep command its sorted, distinct grids, at least 3
     omega_branch: int = +1
     truncate: int | None = None
     tolerances: dict = field(default_factory=dict)
-    sweep_n: list | None = None  # for the sweep command: sorted, distinct, at least 3
     out: Path = Path(".")
     save_modes: bool = False
     kernels: tuple = _KERNELS[:1]
-
-    def grid(self) -> Grid:
-        return make_grid(self.x_min, self.x_max, self.n)
-
-
-def _parse_potential_spec(spec) -> Potential:
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError(f"potential spec must be {{'named': ...}} or {{'poly': [...]}}, got {spec!r}")
-    if "named" in spec:
-        if not isinstance(spec["named"], str):
-            raise ConfigError(f"potential.named must be a string, got {spec['named']!r}")
-        return named(spec["named"])
-    if "poly" in spec:
-        return polynomial([_real(c, "potential.poly entry") for c in _entries(spec["poly"], "potential.poly")])
-    raise ConfigError(f"unknown potential spec {spec!r}")
-
-
-def _parse_tol_overrides(pairs) -> dict:
-    out = {}
-    for pair in pairs or []:
-        name, sep, value = str(pair).partition("=")
-        if not sep:
-            raise ConfigError(f"--tol expects name=value, got {pair!r}")
-        try:
-            val = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance value in {pair!r}") from exc
-        out[name] = _tolerance(name, val)
-    return out
 
 
 def _parse_number_list(text, kind) -> list:
@@ -126,6 +94,7 @@ def _real(value, label: str) -> float:
 
 
 def _load_config_file(path: str) -> dict:
+    """The config document, whose sections are checked to be objects of known keys."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -133,88 +102,116 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return _section(doc, path, "potential grid suite sweep out save_modes kernels")
+    _section(doc, path, "potential grid suite sweep out save_modes kernels")
+    _section(doc.get("grid", {}), "grid", "x_min x_max n")
+    suite = _section(doc.get("suite", {}), "suite", "omega_branch truncate tolerances")
+    if len(_section(doc.get("sweep", {}), "sweep", "n_values h_values")) > 1:
+        raise ConfigError("config 'sweep' must give either n_values or h_values, not both")
+    _section(suite.get("tolerances", {}), "suite.tolerances")
+    return doc
+
+
+def _flags_as_config(args: argparse.Namespace) -> dict:
+    """The flags as the document a config file would hold, None where a flag is not given; text parsing only."""
+    flag = vars(args).get  # each subcommand defines only the flags it reads
+    if args.poly is not None and args.potential is not None:
+        raise ConfigError("give either --potential or --poly, not both")
+    if flag("sweep_n") is not None and flag("sweep_h") is not None:
+        raise ConfigError("give either --sweep-n or --sweep-h, not both")
+    # sweep --jobs is validated and has no effect: the sweep runs in one thread
+    if flag("jobs") is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    potential = {"poly": _parse_number_list(args.poly, float)} if args.poly is not None else None
+    if args.potential is not None:
+        potential = {"named": args.potential}
+    sweep = {"n_values": _parse_number_list(args.sweep_n, int)} if flag("sweep_n") is not None else None
+    if flag("sweep_h") is not None:
+        sweep = {"h_values": _parse_number_list(args.sweep_h, float)}
+    truncate = flag("truncate")
+    with suppress(TypeError, ValueError):  # an int where the text parses as one
+        truncate = int(truncate)
+    tolerances = {}
+    for pair in flag("tol") or []:
+        name, sep, value = pair.partition("=")
+        if not sep:
+            raise ConfigError(f"--tol expects name=value, got {pair!r}")
+        try:
+            tolerances[name] = float(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad tolerance value in {pair!r}") from exc
+    return {
+        "potential": potential,
+        "grid": {"x_min": args.xmin, "x_max": args.xmax, "n": flag("n")},
+        "suite": {"omega_branch": flag("omega_branch"), "truncate": truncate, "tolerances": tolerances},
+        "sweep": sweep,
+        "kernels": [tok for tok in args.kernels.split(",") if tok.strip()] if flag("kernels") else None,
+        "save_modes": flag("save_modes") or None,
+        "out": args.out,
+    }
+
+
+_MERGED = {"grid", "suite", "suite.tolerances"}  # laid over per key; any other value is replaced whole
+
+
+def _lay_over(doc: dict, flags: dict, prefix: str = "") -> dict:
+    """The flags' document laid over the config file's; a None is a flag not given."""
+    merged = dict(doc)
+    for key, value in flags.items():
+        if prefix + key in _MERGED:
+            merged[key] = _lay_over(doc.get(key, {}), value, f"{prefix}{key}.")
+        elif value is not None:
+            merged[key] = value
+    return merged
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     doc = _load_config_file(args.config) if args.config else {}
-    grid_doc = _section(doc.get("grid", {}), "grid", "x_min x_max n")
-    suite_doc = _section(doc.get("suite", {}), "suite", "omega_branch truncate tolerances")
-    sweep_doc = _section(doc.get("sweep", {}), "sweep", "n_values h_values")
-    if len(sweep_doc) > 1:
-        raise ConfigError("config 'sweep' must give either n_values or h_values, not both")
+    doc = _lay_over(doc, _flags_as_config(args))
+    grid_doc, suite_doc, sweep_doc = (doc.get(key, {}) for key in ("grid", "suite", "sweep"))
 
-    # potential: flags win over the file; --poly and --potential are exclusive
-    if args.poly is not None and args.potential is not None:
-        raise ConfigError("give either --potential or --poly, not both")
-    if args.poly is not None:
-        pot = polynomial(_parse_number_list(args.poly, float))
-    elif args.potential is not None:
-        pot = named(args.potential)
-    elif "potential" in doc:
-        pot = _parse_potential_spec(doc["potential"])
-    else:
+    if "potential" not in doc:
         raise ConfigError("no potential given (use --potential, --poly, or a config file)")
+    spec = doc["potential"]
+    if not isinstance(spec, dict) or len(spec) != 1:
+        raise ConfigError(f"potential spec must be {{'named': ...}} or {{'poly': [...]}}, got {spec!r}")
+    if "named" in spec:
+        if not isinstance(spec["named"], str):
+            raise ConfigError(f"potential.named must be a string, got {spec['named']!r}")
+        pot = named(spec["named"])
+    elif "poly" in spec:
+        pot = polynomial([_real(c, "potential.poly entry") for c in _entries(spec["poly"], "potential.poly")])
+    else:
+        raise ConfigError(f"unknown potential spec {spec!r}")
 
-    def bound(flag_value, key):
-        if flag_value is not None:
-            return float(flag_value)
+    def bound(key):
         if grid_doc.get(key) is None:
             raise ConfigError(f"missing --{key.replace('_', '')} (flag or config file)")
         return _real(grid_doc[key], f"grid.{key}")
 
-    x_min, x_max = bound(args.xmin, "x_min"), bound(args.xmax, "x_max")
-    sweep_n = None
-    if getattr(args, "sweep_n", None) is not None and getattr(args, "sweep_h", None) is not None:
-        raise ConfigError("give either --sweep-n or --sweep-h, not both")
-    if getattr(args, "sweep_n", None) is not None:
-        sweep_n = _parse_number_list(args.sweep_n, int)
-    elif getattr(args, "sweep_h", None) is not None:
-        sweep_n = [_n_for_spacing(x_min, x_max, h) for h in _parse_number_list(args.sweep_h, float)]
-    elif "n_values" in sweep_doc:
-        sweep_n = [_count(k, "sweep.n_values entry") for k in _entries(sweep_doc["n_values"], "sweep.n_values")]
-    elif "h_values" in sweep_doc:
-        sweep_n = [_n_for_spacing(x_min, x_max, h) for h in _entries(sweep_doc["h_values"], "sweep.h_values")]
+    x_min, x_max = bound("x_min"), bound("x_max")
+    # the sweep section holds at most one of the two keys
+    sizes = [_count(k, "sweep.n_values entry") for k in _entries(sweep_doc.get("n_values", []), "sweep.n_values")]
+    sizes += [_n_for_spacing(x_min, x_max, h) for h in _entries(sweep_doc.get("h_values", []), "sweep.h_values")]
 
-    if getattr(args, "n", None) is not None:
-        n = int(args.n)
-    elif grid_doc.get("n") is not None:
-        n = _count(grid_doc["n"], "grid.n")
-    elif sweep_n:
-        n = max(sweep_n)
-    else:  # sweep has no --n flag: its sizes are what is missing
-        raise ConfigError("sweep needs at least 3 grid sizes (--sweep-n or config)" if args.command == "sweep"
-                          else "missing --n (flag or config file)")
+    n = _count(grid_doc["n"], "grid.n") if grid_doc.get("n") is not None else None
+    if n is None and args.command != "sweep":  # sweep has no --n flag: its sizes are what it reads
+        raise ConfigError("missing --n (flag or config file)")
 
-    branch_text = getattr(args, "omega_branch", None) or suite_doc.get("omega_branch", "+")
+    branch_text = suite_doc.get("omega_branch", "+")
     if branch_text not in ("+", "-"):
         raise ConfigError(f"suite.omega_branch must be '+' or '-', got {branch_text!r}")
 
-    trunc_flag = getattr(args, "truncate", None)
-    trunc_text = trunc_flag if trunc_flag is not None else suite_doc.get("truncate", "full")
-    if isinstance(trunc_text, str) and trunc_text.lower() == "full":
+    truncate = suite_doc.get("truncate", "full")
+    if isinstance(truncate, str) and truncate.lower() == "full":
         truncate = None
     else:
-        if trunc_flag is not None:  # flag text; a file value must be a JSON integer
-            with suppress(ValueError):
-                trunc_text = int(trunc_text)
-        truncate = _count(trunc_text, "--truncate / suite.truncate (or 'full')")
+        truncate = _count(truncate, "--truncate / suite.truncate (or 'full')")
         if truncate < 1:
             raise ConfigError(f"--truncate must be >= 1, got {truncate}")
 
-    tolerances = _section(suite_doc.get("tolerances", {}), "suite.tolerances")
-    tolerances = {name: _tolerance(name, val) for name, val in tolerances.items()}
-    tolerances.update(_parse_tol_overrides(getattr(args, "tol", None)))
+    tolerances = {name: _tolerance(name, val) for name, val in suite_doc.get("tolerances", {}).items()}
 
-    # sweep --jobs is validated and has no effect: the sweep runs in one thread
-    if getattr(args, "jobs", None) is not None and args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-
-    kernels_text = getattr(args, "kernels", None)
-    if kernels_text:
-        kernels = [tok for tok in kernels_text.split(",") if tok.strip()]
-    else:
-        kernels = _entries(doc["kernels"], "kernels") if "kernels" in doc else [_KERNELS[0]]
+    kernels = _entries(doc.get("kernels", [_KERNELS[0]]), "kernels")
     for k in kernels:
         if not isinstance(k, str) or k.strip().upper() not in _KERNELS:
             raise ConfigError(f"kernels must be {' or '.join(_KERNELS)}, got {k!r}")
@@ -228,19 +225,22 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
     # Checks that need no solve run here, before the output directory exists.
     if args.command == "sweep":
-        if not sweep_n or len(sweep_n) < 3:
+        if len(sizes) < 3:
             raise ConfigError("sweep needs at least 3 grid sizes (--sweep-n or config)")
-        sweep_n = sorted(set(sweep_n))
-        if len(sweep_n) < 3:
+        sizes = sorted(set(sizes))
+        if len(sizes) < 3:
             raise ConfigError("sweep needs at least 3 distinct grid sizes")
-        if truncate is not None and truncate > sweep_n[0]:
-            raise ConfigError(f"--truncate {truncate} exceeds the smallest sweep size {sweep_n[0]}")
-    for size in sweep_n if args.command == "sweep" else [n]:
-        make_grid(x_min, x_max, size)
+        if truncate is not None and truncate > sizes[0]:
+            raise ConfigError(f"--truncate {truncate} exceeds the smallest sweep size {sizes[0]}")
+    else:
+        sizes = [n]
+    grids = tuple(make_grid(x_min, x_max, size) for size in sizes)
+    for grid in grids[::-1]:  # refuses a T with a non-finite entry, finest first: 2/h**2 is largest there
+        assemble(pot, grid)
     if args.command == "export-kernel" and truncate is not None and truncate > n:
         raise ConfigError(f"truncation {truncate} out of range 1..{n}")
 
-    out = args.out if args.out is not None else doc.get("out", ".")
+    out = doc.get("out", ".")
     if not isinstance(out, str):
         raise ConfigError(f"config 'out' must be a string, got {out!r}")
     out = Path(out)
@@ -253,15 +253,12 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
     return ExperimentConfig(
         potential=pot,
-        x_min=x_min,
-        x_max=x_max,
-        n=n,
+        grids=grids,
         omega_branch=+1 if branch_text == "+" else -1,
         truncate=truncate,
         tolerances=tolerances,
-        sweep_n=sweep_n,
         out=out,
-        save_modes=getattr(args, "save_modes", False) or save_modes,
+        save_modes=save_modes,
         kernels=kernels,
     )
 
@@ -279,7 +276,7 @@ def _write_spectrum_csv(s: Spectrum, path: Path, save_modes: bool) -> None:
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
-    grid = cfg.grid()
+    (grid,) = cfg.grids
     spectrum = solve(assemble(cfg.potential, grid))
     path = cfg.out / "spectrum.csv"
     _write_spectrum_csv(spectrum, path, cfg.save_modes)
@@ -291,7 +288,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
-    grid = cfg.grid()
+    (grid,) = cfg.grids
     report = run_suite(
         cfg.potential, grid, cfg.tolerances, omega_branch=cfg.omega_branch
     )
@@ -313,14 +310,13 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-def _sweep_row(cfg: ExperimentConfig, n: int, levels: int) -> tuple:
-    """Grid n solved and reduced to its row.
+def _sweep_row(cfg: ExperimentConfig, grid: Grid, levels: int) -> tuple:
+    """The grid solved and reduced to what its row needs of the solve.
 
-    The row is n, h, E_0.., ||P - J||, m, and ||P_m - J|| where ``reflection_applies``,
-    else None and ||P_m - P||; P is built only for a column that reads it, and the
-    spectrum is dropped on return.
+    That is E_0.., ||P - J|| and ||P_m - J|| where ``reflection_applies``, else None
+    and ||P_m - P||; P is built only for a column that reads it, and the spectrum is
+    dropped on return.
     """
-    grid = make_grid(cfg.x_min, cfg.x_max, n)
     spectrum = solve(assemble(cfg.potential, grid))
     applies = reflection_applies(cfg.potential, grid)
     parity = build_parity(spectrum) if applies or cfg.truncate is not None else None
@@ -331,21 +327,21 @@ def _sweep_row(cfg: ExperimentConfig, n: int, levels: int) -> tuple:
         if applies:
             trunc_resid = reflection_defect(trunc)
         else:  # one row block of P_m - P at a time
-            trunc_resid = max(_max_abs(trunc.action[rows] - parity.action[rows]) for rows in _row_blocks(n))
-    return grid.n, grid.h, spectrum.energies[:levels], refl, cfg.truncate, trunc_resid
+            trunc_resid = max(_max_abs(trunc.action[rows] - parity.action[rows]) for rows in _row_blocks(grid.n))
+    return spectrum.energies[:levels], refl, trunc_resid
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    ns = cfg.sweep_n
+    ns = [grid.n for grid in cfg.grids]
     levels = min(10, ns[0])
 
     # Each grid is solved, reduced to its row and dropped before the next, in
     # this thread: scipy's stemr holds the GIL, so worker threads would not
     # overlap, and BLAS already spreads each product over the cores.
-    rows = [_sweep_row(cfg, n, levels) for n in ns]
+    rows = [_sweep_row(cfg, grid, levels) for grid in cfg.grids]
 
-    hs = np.array([row[1] for row in rows])
-    energies = np.array([row[2] for row in rows])
+    hs = np.array([grid.h for grid in cfg.grids])
+    energies = np.array([row[0] for row in rows])
     # Reference: Richardson extrapolation from the finest 2:1 spacing pair,
     # which removes the leading h^2 term; otherwise fall back to the finest
     # grid's energies.
@@ -365,22 +361,22 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     path = cfg.out / "sweep.csv"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
-        for (n, h, e, *tail), err, order in zip(rows, errors, orders):
-            cells = (n, h, *e, *err, *order, *tail)
+        for grid, (e, refl, trunc_resid), err, order in zip(cfg.grids, rows, errors, orders):
+            cells = (grid.n, grid.h, *e, *err, *order, refl, cfg.truncate, trunc_resid)
             fh.write(",".join("" if x is None else fmt_float(x) for x in cells) + "\n")
 
     print(f"# sweep over n = {ns} ({'Richardson' if richardson else 'finest-grid'} reference)")
     print(f"{'n':>6s} {'h':>12s} {'err_E0':>12s} {'order_E0':>9s} {'reflection':>12s}")
-    for (n, h, _, refl, *_), err, order in zip(rows, errors, orders):
+    for grid, (_, refl, _), err, order in zip(cfg.grids, rows, errors, orders):
         order_text = f"{order[0]:9.3f}" if order[0] is not None else "        -"
         refl_text = f"{refl:12.3e}" if refl is not None else "         n/a"
-        print(f"{n:6d} {h:12.6f} {err[0]:12.3e} {order_text} {refl_text}")
+        print(f"{grid.n:6d} {grid.h:12.6f} {err[0]:12.3e} {order_text} {refl_text}")
     print(f"sweep table written to {path}")
     return EXIT_OK
 
 
 def cmd_export_kernel(cfg: ExperimentConfig) -> int:
-    grid = cfg.grid()
+    (grid,) = cfg.grids
     spectrum = solve(assemble(cfg.potential, grid))
     table = gradings(cfg.omega_branch)
     for label in cfg.kernels:
@@ -400,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--xmin", type=float, help="left domain edge")
     common.add_argument("--xmax", type=float, help="right domain edge")
     common.add_argument("--out", help="output directory (default .)")
-    common.add_argument("--config", help="JSON config file; flags override its values")
+    common.add_argument("--config", help="JSON config file; flags are laid over its values")
     grid_n.add_argument("--n", type=int, help="number of interior grid points")
     truncate.add_argument("--truncate", help="mode truncation M, or 'full'")
     branch.add_argument("--omega-branch", choices=["+", "-"], help="triparity branch sign")

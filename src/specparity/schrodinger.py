@@ -194,7 +194,10 @@ def assemble_from_samples(values, grid: Grid) -> HamiltonianMatrix:
     if not np.all(np.isfinite(vals)):
         raise ValueError("potential samples must be finite")
     inv_h2 = 1.0 / (grid.h * grid.h)
-    diag = 2.0 * inv_h2 + vals
+    with np.errstate(over="ignore"):
+        diag = 2.0 * inv_h2 + vals
+    if not np.all(np.isfinite(diag)):
+        raise ValueError(f"the diagonal 2/h**2 + V of T is not finite (h={grid.h!r})")
     offdiag = np.full(grid.n - 1, -inv_h2)
     diag.flags.writeable = False
     offdiag.flags.writeable = False

@@ -510,6 +510,8 @@ def run_suite(
         residual = _stage(name, fn, *args)
         elapsed = time.perf_counter() - t0
         residual = None if residual is None else float(residual)  # None: the check does not apply
+        if residual is not None and not math.isfinite(residual):
+            raise SuiteStageError(name, ArithmeticError(f"residual is {residual}, not a finite number"))
         results.append(CheckResult(name, residual, tol[name], elapsed))
 
     hm = timed_stage("assemble", assemble, v, grid)

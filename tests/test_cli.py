@@ -514,9 +514,13 @@ def test_sweep_requires_three_points(tmp_path):
         ["verify", "--poly=0,0,1", "--xmin=-1e-300", "--xmax=1e-300", "--n", 9],
         ["solve", "--poly=0,0,1", "--xmin=-4.5e-153", "--xmax=4.5e-153", "--n", 99],
         ["verify", "--poly=0,0,1", "--xmin=-4.5e-153", "--xmax=4.5e-153", "--n", 99],
+        # 2/h**2 and V are finite, and their sum, T's diagonal, is not
+        ["solve", "--poly=1.5e308,0,1", "--xmin=-7.5e-153", "--xmax=7.5e-153", "--n", 99],
+        ["verify", "--poly=1.5e308,0,1", "--xmin=-7.5e-153", "--xmax=7.5e-153", "--n", 99],
     ],
     ids=["reversed_domain", "two_distinct_sweep_sizes", "truncate_above_n", "h2_underflows_solve",
-         "h2_underflows_verify", "2_over_h2_overflows_solve", "2_over_h2_overflows_verify"],
+         "h2_underflows_verify", "2_over_h2_overflows_solve", "2_over_h2_overflows_verify",
+         "diagonal_overflows_solve", "diagonal_overflows_verify"],
 )
 def test_input_errors_exit_2_before_the_output_directory_is_made(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(sp.cli, "solve", None)  # a solve would raise TypeError, exit 3
@@ -524,6 +528,18 @@ def test_input_errors_exit_2_before_the_output_directory_is_made(tmp_path, capsy
     assert run_cli([*argv, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_a_non_finite_residual_exits_3_and_names_its_check(tmp_path, capsys):
+    # energies near 1.8e308 overflow the propagator's phases E t, so the drift is nan
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(["verify", "--poly=1.79e308,0,1", "--xmin=-1", "--xmax=1", "--n", 99, "--out", out])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: verification stage 'conservation_superposition' failed: residual is nan")
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
 
 
 def test_verify_of_a_huge_t_has_finite_commutator_residuals(tmp_path):
@@ -784,3 +800,95 @@ def test_export_of_an_empty_kernel_list_exits_2_before_the_output_directory_is_m
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "kernels" in err
     assert not out.exists()
+
+
+# One row per flag that has a config key: the command, the flag, the key's path
+# in the file, the value the flag stands for, and a file value it must replace.
+FLAG_AND_KEY = {
+    "potential": ("solve", ["--potential", "harmonic"], "potential", {"named": "harmonic"}, {"poly": [0, 0, 0, 1, 1]}),
+    "poly": ("solve", ["--poly", "0,0,1"], "potential", {"poly": [0, 0, 1]}, {"named": "quartic_cubic"}),
+    "xmin": ("solve", ["--xmin", "-6"], "grid.x_min", -6, -7),
+    "xmax": ("solve", ["--xmax", "6"], "grid.x_max", 6, 7.5),
+    "n": ("verify", ["--n", "29"], "grid.n", 29, 49),
+    "sweep_n": ("sweep", ["--sweep-n", "29,19,49"], "sweep", {"n_values": [29, 19, 49]}, {"h_values": [1, 0.5, 0.25]}),
+    "sweep_h": ("sweep", ["--sweep-h", "1,0.5,0.25"], "sweep", {"h_values": [1, 0.5, 0.25]}, {"n_values": [9, 29, 59]}),
+    "truncate": ("export-kernel", ["--truncate", "5"], "suite.truncate", 5, 7),
+    "truncate_full": ("sweep", ["--truncate", "Full"], "suite.truncate", "full", 3),
+    "omega_branch": ("export-kernel", ["--omega-branch", "-"], "suite.omega_branch", "-", "+"),
+    "tol": ("verify", ["--tol", "completeness=1e-3"], "suite.tolerances", {"completeness": 1e-3},
+            {"completeness": 1e-5}),
+    "kernels": ("export-kernel", ["--kernels", "q,P"], "kernels", ["Q", "P"], ["P"]),
+    "save_modes": ("solve", ["--save-modes"], "save_modes", True, False),
+    "out": ("solve", ["--out", "flagged"], "out", "flagged", "filed"),
+}
+# every setting, given in the file
+BASE_CONFIG = {
+    "potential": {"named": "quartic_cubic"},
+    "grid": {"x_min": -8, "x_max": 8, "n": 19},
+    "suite": {"omega_branch": "+", "truncate": 4, "tolerances": {"orthonormality": 1e-9}},
+    "sweep": {"n_values": [9, 19, 39]},
+    "out": "results",
+}
+
+
+def _config_with(path: str, value) -> dict:
+    """BASE_CONFIG with the key at ``path`` set to ``value``, or removed when it is None."""
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    *sections, key = path.split(".")
+    node = doc
+    for section in sections:
+        node = node[section]
+    node.pop(key, None)
+    if value is not None:
+        node[key] = value
+    return doc
+
+
+def _built(tmp_path, command, flags, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    return sp.cli.build_config(sp.cli._build_parser().parse_args([command, "--config", str(config), *flags]))
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_AND_KEY))
+def test_each_setting_reads_the_same_from_a_flag_as_from_the_file(tmp_path, monkeypatch, case):
+    command, flags, path, value, other = FLAG_AND_KEY[case]
+    monkeypatch.chdir(tmp_path)
+    from_file = _built(tmp_path, command, [], _config_with(path, value))
+    assert _built(tmp_path, command, flags, _config_with(path, None)) == from_file
+    assert _built(tmp_path, command, flags, _config_with(path, other)) == from_file  # the flag wins
+    assert _built(tmp_path, command, [], _config_with(path, other)) != from_file
+
+
+def test_a_tolerance_flag_replaces_the_file_entry_of_its_check_only(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags = ["--tol", "completeness=1e-3"]
+    # the file's entry for the same check is replaced, and so never read
+    cfg = _built(tmp_path, "verify", flags, _config_with("suite.tolerances", {"completeness": True}))
+    assert cfg.tolerances == {"completeness": 1e-3}
+    # the entries of other checks stay, and are checked
+    cfg = _built(tmp_path, "verify", flags, BASE_CONFIG)
+    assert cfg.tolerances == {"orthonormality": 1e-9, "completeness": 1e-3}
+    with pytest.raises(sp.ConfigError, match="orthonormality"):
+        _built(tmp_path, "verify", flags, _config_with("suite.tolerances", {"orthonormality": True}))
+
+
+def test_a_sweep_config_holds_its_sorted_distinct_grids_and_still_checks_grid_n(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = _built(tmp_path, "sweep", [], _config_with("sweep", {"n_values": [39, 9, 19, 9]}))
+    assert cfg.grids == tuple(sp.make_grid(-8, 8, n) for n in (9, 19, 39))
+    with pytest.raises(sp.ConfigError, match="grid.n"):
+        _built(tmp_path, "sweep", [], _config_with("grid.n", 19.5))
+
+
+def test_readme_config_example_builds_for_every_command(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    (example,) = re.findall(r"```json\n(.*?)```", section, flags=re.S)
+    (tmp_path / "config.json").write_text(example)
+    monkeypatch.chdir(tmp_path)
+    for command in ("solve", "verify", "sweep", "export-kernel"):
+        cfg = sp.cli.build_config(sp.cli._build_parser().parse_args([command, "--config", "config.json"]))
+        assert cfg.potential == sp.named("quartic_cubic") and cfg.out == Path("results")
+        sizes = [199, 399, 799] if command == "sweep" else [999]
+        assert cfg.grids == tuple(sp.make_grid(-10, 10, n) for n in sizes)

@@ -59,6 +59,14 @@ def test_an_overflowing_potential_is_refused_whatever_the_error_state(potential)
             sp.assemble(potential, sp.make_grid(-1e200, 1e200, 9))
 
 
+def test_a_diagonal_that_overflows_is_refused_whatever_the_error_state():
+    # 2/h**2 is about 8.9e307 and every sample about 1.5e308: each is finite, their sum is not
+    grid = sp.make_grid(-7.5e-153, 7.5e-153, 99)
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="diagonal 2/h\\*\\*2 \\+ V of T is not finite"):
+            sp.assemble(sp.polynomial([1.5e308, 0, 1]), grid)
+
+
 def test_matvec_matches_dense(qc_199):
     hm = sp.assemble(sp.named("quartic_cubic"), qc_199.grid)
     rng = np.random.default_rng(5)

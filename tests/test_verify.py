@@ -418,6 +418,17 @@ def test_verdicts_are_derived_from_residual_and_tolerance():
         sp.VerificationReport({}, {}, (sp.CheckResult("e", float("nan"), 1e-8, 0.0),))
 
 
+def test_a_non_finite_residual_raises_a_stage_error_that_names_its_check():
+    # energies near 1.8e308 overflow the propagator's phases E t, so the drift is nan;
+    # the check is named before a report could refuse the value
+    v, grid = sp.polynomial([1.79e308, 0, 1]), sp.make_grid(-1, 1, 99)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(sp.SuiteStageError, match="residual is nan") as info:
+            sp.run_suite(v, grid)
+    assert info.value.stage == "conservation_superposition"
+    assert isinstance(info.value, RuntimeError) and not isinstance(info.value.__cause__, ValueError)
+
+
 def test_report_carries_stage_timings(qc_suite):
     doc = json.loads(qc_suite.to_json())
     # the reconstruction is streamed inside its check, so it is no stage
