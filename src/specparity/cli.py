@@ -14,7 +14,7 @@ import os
 import sys
 import traceback
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +40,12 @@ _KERNELS = tuple(gradings())  # the labels --kernels takes; the first is the def
 class ExperimentConfig:
     potential: Potential
     grids: tuple  # one Grid; for the sweep command its sorted, distinct grids, at least 3
-    omega_branch: int = +1
-    truncate: int | None = None
-    tolerances: dict = field(default_factory=dict)
-    out: Path = Path(".")
-    save_modes: bool = False
-    kernels: tuple = _KERNELS[:1]
+    omega_branch: int
+    truncate: int | None
+    tolerances: dict
+    out: Path
+    save_modes: bool
+    kernels: tuple
 
 
 def _parse_number_list(text, kind) -> list:
@@ -144,7 +144,7 @@ def _flags_as_config(args: argparse.Namespace) -> dict:
         "grid": {"x_min": args.xmin, "x_max": args.xmax, "n": flag("n")},
         "suite": {"omega_branch": flag("omega_branch"), "truncate": truncate, "tolerances": tolerances},
         "sweep": sweep,
-        "kernels": [tok for tok in args.kernels.split(",") if tok.strip()] if flag("kernels") else None,
+        "kernels": [tok for tok in args.kernels.split(",") if tok.strip()] if flag("kernels") is not None else None,
         "save_modes": flag("save_modes") or None,
         "out": args.out,
     }

@@ -6,10 +6,12 @@ spectrum with a complete bound-state basis, which scattering potentials do
 not provide. Coefficients must be real so the Hamiltonian stays real
 symmetric.
 
-Evaluation uses Horner's rule or explicit products, never libm pow:
-pow(-x, k) and pow(x, k) can differ in the last ulp, and downstream
-reflection handling requires V(-x_i) == V(x_i) to hold exactly for even
-potentials on symmetric grids.
+Every potential, named or not, is evaluated by one Horner recurrence over
+its coefficients, never by libm pow: pow(-x, k) and pow(x, k) can differ in
+the last ulp, and downstream reflection handling requires V(-x_i) == V(x_i)
+to hold exactly for even potentials on symmetric grids. Each rounding of
+Horner's rule is sign-symmetric, so an even polynomial gives that bit for
+bit, and a named family gives the bits of its coefficient tuple.
 """
 from __future__ import annotations
 
@@ -86,27 +88,14 @@ def named(name: str) -> Potential:
     return Potential(coefficients=NAMED_POTENTIALS[name], name=name)
 
 
-def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
-    acc = np.full(x.shape, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
-    return acc
-
-
 def evaluate(v: Potential, x):
-    """V(x) for a scalar or an array of positions."""
+    """V(x) for a scalar or an array of positions, by Horner's rule in one array."""
     arr = np.asarray(x, dtype=float)
+    val = np.full(arr.shape, v.coefficients[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which assemble refuses
-        if v.name is not None:
-            x2 = arr * arr
-            if v.name == "harmonic":
-                val = x2
-            elif v.name == "quartic":
-                val = x2 * x2
-            else:  # quartic_cubic
-                val = x2 * x2 + x2 * arr
-        else:
-            val = _horner(v.coefficients, arr)
+        for c in v.coefficients[-2::-1]:
+            val *= arr
+            val += c
     if arr.ndim == 0:
         return float(val)
     return val

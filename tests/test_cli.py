@@ -317,6 +317,18 @@ def test_verify_reports_are_reproducible(tmp_path):
     assert stable(out_a / "report.json") == stable(out_b / "report.json")
 
 
+def test_a_named_potential_and_its_polynomial_write_the_same_checks(tmp_path):
+    checks = []
+    for i, spec in enumerate((["--potential", "quartic_cubic"], ["--poly=0,0,0,1,1"])):
+        out = tmp_path / str(i)
+        assert run_cli(["verify", *spec, "--xmin", -10, "--xmax", 10, "--n", 199, "--out", out]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        for entry in doc["checks"]:
+            entry.pop("seconds")  # documented-unstable field
+        checks.append(doc["checks"])
+    assert checks[0] == checks[1]
+
+
 def test_verify_omega_branch_flag(tmp_path, monkeypatch):
     # the branch reaches every triparity build, of the suite and of the export
     build, branches = sp.operators.build_triparity, []
@@ -783,7 +795,7 @@ def test_export_of_an_overflowing_kernel_exits_2_and_leaves_no_files(tmp_path, m
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["flag", "empty_flag", "config"])
 def test_export_of_an_empty_kernel_list_exits_2_before_the_output_directory_is_made(
     tmp_path, capsys, monkeypatch, source
 ):
@@ -792,6 +804,8 @@ def test_export_of_an_empty_kernel_list_exits_2_before_the_output_directory_is_m
     argv = ["export-kernel", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--n", 5, "--out", out]
     if source == "flag":
         argv += ["--kernels", ","]
+    elif source == "empty_flag":
+        argv += ["--kernels", ""]
     else:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"kernels": []}))
@@ -892,3 +906,16 @@ def test_readme_config_example_builds_for_every_command(tmp_path, monkeypatch):
         assert cfg.potential == sp.named("quartic_cubic") and cfg.out == Path("results")
         sizes = [199, 399, 799] if command == "sweep" else [999]
         assert cfg.grids == tuple(sp.make_grid(-10, 10, n) for n in sizes)
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)  # the first block writes kernel_P.* to the working directory
+    namespace = {}
+    for block in blocks:  # the second reads the first's spectrum
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert (tmp_path / "kernel_P.csv").exists() and (tmp_path / "kernel_P.txt").exists()
+    assert json.loads(capsys.readouterr().out)["pass"] is True

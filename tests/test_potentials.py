@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,21 @@ def test_named_families_match_their_polynomials():
         a = sp.evaluate(sp.named(name), xs)
         b = sp.evaluate(sp.polynomial(coeffs), xs)
         np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
+    # one evaluation path: a named family is its polynomial, bit for bit
+    for grid in (sp.make_grid(-10, 10, 999), sp.make_grid(-8, 8, 1999), sp.make_grid(-3.5, 7.25, 777)):
+        for name, coeffs in sp.NAMED_POTENTIALS.items():
+            a = sp.evaluate(sp.named(name), grid.points)
+            b = sp.evaluate(sp.polynomial(coeffs), grid.points)
+            assert a.tobytes() == b.tobytes(), (name, grid)
+
+
+def test_quartic_cubic_samples_lie_within_3_ulp_of_the_exact_value():
+    points = sp.make_grid(-10, 10, 999).points
+    got = sp.evaluate(sp.named("quartic_cubic"), points)
+    # x is a double, so x**4 + x**3 is an exact rational; float() rounds it correctly
+    exact = np.array([float(Fraction(x) ** 4 + Fraction(x) ** 3) for x in points.tolist()])
+    ulps = np.abs(got - exact) / np.spacing(np.abs(exact))
+    assert ulps.max() <= 3.0, ulps.max()
 
 
 def test_evaluate_scalar_and_array_agree():

@@ -1,11 +1,14 @@
-"""Every valid confining polynomial ends ``verify`` and ``sweep`` in one of their documented ways.
+"""Every valid confining polynomial ends ``verify``, ``solve`` and ``sweep`` in one of their documented ways.
 
 The suite passes (exit 0), a named check fails (exit 1), or a typed error
 is reported on an ``error:`` line (exit 2 or 3), never with a traceback.
-A sweep writes the same ``sweep.csv`` bytes whatever ``--jobs`` says.
+A sweep writes the same ``sweep.csv`` bytes whatever ``--jobs`` says. The
+same holds for widths, centres and coefficients of any magnitude a double
+can hold, where an input error (exit 2) leaves no output directory.
 """
 import contextlib
 import io
+import operator
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -79,3 +82,39 @@ def test_sweep_ends_in_a_documented_exit_whatever_the_jobs(tmp_path_factory, arg
         _assert_documented(code, err, passing=(0,))
         outs.append((code, err, (out / "sweep.csv").read_bytes() if code == 0 else None))
     assert outs[1:] == outs[:1] * 2, args
+
+
+MAGNITUDE = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)  # log-uniform in [1e-300, 1e300]
+SIGNED_MAGNITUDE = st.builds(operator.mul, st.sampled_from([-1.0, 1.0]), MAGNITUDE)
+
+
+@st.composite
+def magnitude_args(draw):
+    """A command on a confining polynomial whose width, centre and coefficients span the double range."""
+    degree = draw(st.sampled_from([2, 4, 6, 8]))
+    coeffs = [draw(st.one_of(st.just(0.0), SIGNED_MAGNITUDE)) for _ in range(degree)]
+    coeffs.append(draw(MAGNITUDE))  # positive leading coefficient: confining
+    width = draw(MAGNITUDE)
+    centre = draw(st.one_of(
+        st.just(0.0),
+        st.floats(-0.5, 0.5).map(lambda fraction: fraction * width),  # the domain holds the origin
+        SIGNED_MAGNITUDE,
+    ))
+    flags = [f"--poly={','.join(map(repr, coeffs))}",
+             f"--xmin={centre - width / 2!r}", f"--xmax={centre + width / 2!r}"]
+    command = draw(st.sampled_from(["verify", "solve", "sweep"]))
+    if command == "sweep":
+        sizes = draw(st.lists(st.integers(2, 60), min_size=3, max_size=3, unique=True))
+        return [command, *flags, f"--sweep-n={','.join(map(str, sizes))}"]
+    return [command, *flags, f"--n={draw(st.integers(2, 60))}"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(args=magnitude_args())
+def test_inputs_of_any_magnitude_end_in_a_documented_exit(tmp_path_factory, args):
+    out = tmp_path_factory.mktemp("magnitude") / "out"
+    code, err = _run([*args, f"--out={out}"])
+    _assert_documented(code, err, passing=(0, 1) if args[0] == "verify" else (0,))
+    if code == 2:  # an input error is found before the output directory is made
+        assert not out.exists(), (args, err)
