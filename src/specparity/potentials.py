@@ -91,7 +91,7 @@ def named(name: str) -> Potential:
 def evaluate(v: Potential, x):
     """V(x) for a scalar or an array of positions, by Horner's rule in one array."""
     arr = np.asarray(x, dtype=float)
-    val = np.full(arr.shape, v.coefficients[-1])
+    val = np.full(arr.shape, v.coefficients[-1], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which assemble refuses
         for c in v.coefficients[-2::-1]:
             val *= arr

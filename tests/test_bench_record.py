@@ -42,28 +42,33 @@ def test_a_tie_counts_for_neither_side_and_a_small_gain_stays_within_the_parents
     assert v["gain"] == pytest.approx(0.1)
     assert v["parent"]["q3"] - v["parent"]["q1"] == pytest.approx(0.25)
     assert not v["gain_exceeds_parent_iqr"]
-    assert v["allowed_worsening"] == pytest.approx(0.25)
-    assert not v["worse_than_bound"]
+    assert v["verdict"] == "within"  # the parent's IQR equals the bound, so it is not wider
 
 
 def test_a_gain_beyond_the_parents_interquartile_range():
     v = bench_record.pair_verdict([1.0, 1.01, 1.02], [0.8, 0.81, 0.82], OP_S)
     assert v["wins"] == 3 and v["gain"] == pytest.approx(0.2)
-    assert v["gain_exceeds_parent_iqr"] and not v["worse_than_bound"]
+    assert v["gain_exceeds_parent_iqr"] and v["verdict"] == "within"
 
 
-def test_a_worsening_past_the_bound_in_the_metrics_unit():
-    v = bench_record.pair_verdict([96.1, 96.2, 96.3], [96.4, 96.5, 96.3], PEAK_RSS)
+def test_the_bound_is_an_amount_in_the_metrics_unit():
+    v = bench_record.pair_verdict([96.16, 96.2, 96.24], [96.4, 96.5, 96.3], PEAK_RSS)
     assert v["wins"] == 0 and v["gain"] == pytest.approx(-0.2)
-    assert v["allowed_worsening"] == pytest.approx(0.1)  # not 10 % of 96.2 MB
-    assert v["worse_than_bound"]
-    assert not bench_record.pair_verdict([96.1, 96.2, 96.3], [96.15, 96.25, 96.3], PEAK_RSS)["worse_than_bound"]
+    assert v["verdict"] == "worse"  # 0.2 MB past a 0.1 MB bound
+    assert bench_record.pair_verdict([96.16, 96.2, 96.24], [96.15, 96.25, 96.3], PEAK_RSS)["verdict"] == "within"
+    # 0.1 s worse on a 0.3 s median is a third of it, and still inside the 0.25 s bound
+    assert bench_record.pair_verdict([0.3, 0.3, 0.3], [0.4, 0.4, 0.4], OP_S)["verdict"] == "within"
 
 
-def test_a_worsening_past_the_bound_as_a_fraction_of_the_parents_median():
-    v = bench_record.pair_verdict([0.3, 0.3, 0.3], [0.4, 0.4, 0.4], OP_S)
-    assert v["allowed_worsening"] == pytest.approx(0.075)  # 25 % of 0.3 s, below 0.25 s
-    assert v["worse_than_bound"]
+def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
+    parent = [96.0, 96.2, 96.3, 96.1, 96.25]  # IQR 0.225 MB against a 0.1 MB bound
+    v = bench_record.pair_verdict(parent, [96.05, 96.15, 96.3, 96.2, 96.1], PEAK_RSS)
+    assert v["parent"]["q3"] - v["parent"]["q1"] == pytest.approx(0.225)
+    assert v["gain"] == pytest.approx(0.05) and v["verdict"] == "unresolved"
+    # unless every run of the change beats every run of the parent
+    assert bench_record.pair_verdict(parent, [95.9, 95.8, 95.95, 95.7, 95.85], PEAK_RSS)["verdict"] == "within"
+    # a median worse by more than the bound is worse, however wide the spread
+    assert bench_record.pair_verdict(parent, [96.4, 96.5, 96.3, 96.6, 96.45], PEAK_RSS)["verdict"] == "worse"
 
 
 def test_a_higher_is_better_metric_counts_a_rise_as_a_gain():

@@ -48,6 +48,13 @@ def test_evaluate_scalar_and_array_agree():
         assert sp.evaluate(v, float(x)) == val
 
 
+def test_a_potential_with_integer_coefficients_evaluates_as_floats():
+    v = sp.Potential((0, 0, 1))  # built directly, not through polynomial()
+    xs = np.linspace(-2.5, 2.5, 11)
+    assert np.array_equal(sp.evaluate(v, xs), sp.evaluate(sp.named("harmonic"), xs))
+    assert sp.evaluate(v, 1.5) == 2.25
+
+
 def test_horner_matches_term_by_term_sum():
     rng = np.random.default_rng(3)
     xs = np.linspace(-20, 20, 201)

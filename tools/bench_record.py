@@ -2,7 +2,7 @@
 """Record the benchmark's end-to-end metrics, or compare this tree with a revision in pairs.
 
     python3 tools/bench_record.py --label L --seeds 1..3
-    python3 tools/bench_record.py --against HEAD~1 --workload verify-asym-999 --pairs 3 --seeds 11..13
+    python3 tools/bench_record.py --against HEAD~1 --workload verify-asym-999 --seeds 11..13
 
 Each run is one ``bench/run_bench.py --workload W --seed S --trace 0`` subprocess
 at the run length ``BENCHMARK.json`` sets, so this tool adds no measurement of its
@@ -13,26 +13,31 @@ and writes ``BENCH_<L>.json`` at the repository root: per workload, the
 environment, each run's metrics with ``correct``, ``attempted`` and ``failed``,
 and each metric's median and quartiles across the runs.
 
-``--against REV`` checks REV out with ``git worktree add`` under ``.bench-against/``
+``--against REV`` checks REV out with ``git worktree add`` into ``.bench-against/``
 and runs the workload on both trees in alternating pairs, REV first on odd pairs,
-one seed per pair. For each end-to-end metric of ``BENCHMARK.json`` it prints both
+one pair per seed. For each end-to-end metric of ``BENCHMARK.json`` it prints both
 sides' medians and quartiles, how many pairs this tree wins (ties count for
 neither side), whether the median gap in this tree's favour exceeds REV's
-interquartile range, and whether this tree's median is worse than REV's by more
-than the metric's bound. The bound is read as the stricter of an amount in the
-metric's unit and a fraction of REV's median. The worktree is removed on exit.
+interquartile range, and a verdict against the metric's bound, an amount in the
+metric's unit: ``worse`` when this tree's median is worse than REV's by more than
+the bound; otherwise ``unresolved`` when REV's interquartile range is wider than
+the bound and not every run of this tree beats every run of REV; otherwise
+``within``. It exits 0 only when every verdict is ``within`` and this tree failed
+no more operations than REV. The worktree is removed on exit.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-AGAINST_DIR = ROOT / ".bench-against"
+AGAINST_TREE = ROOT / ".bench-against"
+
+sys.path.insert(0, str(ROOT / "bench"))
+from run_bench import quartiles as bench_quartiles  # noqa: E402  the benchmark's own quartiles
 
 
 def parse_seeds(text: str) -> list:
@@ -48,10 +53,8 @@ def parse_seeds(text: str) -> list:
 
 
 def quartiles(values) -> dict:
-    """Median and quartiles, as ``bench/run_bench.py`` takes them (exclusive method)."""
-    if len(values) < 2:
-        return {"q1": values[0], "median": values[0], "q3": values[0]}
-    q1, median, q3 = statistics.quantiles(values, n=4)
+    """Median and quartiles, by ``bench/run_bench.py``'s own ``quartiles``."""
+    q1, median, q3 = bench_quartiles(values)
     return {"q1": q1, "median": median, "q3": q3}
 
 
@@ -107,16 +110,22 @@ def pair_verdict(parent: list, change: list, metric: dict) -> dict:
     sign = 1.0 if metric["better"] == "lower" else -1.0  # a positive gain is the change reading better
     p, c = quartiles(parent), quartiles(change)
     gain = sign * (p["median"] - c["median"])
-    allowed = min(metric["bound"], metric["bound"] * abs(p["median"]))
+    spread = p["q3"] - p["q1"]
+    beats_every_run = min(sign * a for a in parent) > max(sign * b for b in change)
+    if -gain > metric["bound"]:
+        verdict = "worse"
+    elif spread > metric["bound"] and not beats_every_run:
+        verdict = "unresolved"
+    else:
+        verdict = "within"
     return {
         "parent": p,
         "change": c,
         "wins": sum(sign * (a - b) > 0 for a, b in zip(parent, change)),
         "pairs": len(parent),
         "gain": gain,
-        "gain_exceeds_parent_iqr": gain > p["q3"] - p["q1"],
-        "allowed_worsening": allowed,
-        "worse_than_bound": -gain > allowed,
+        "gain_exceeds_parent_iqr": gain > spread,
+        "verdict": verdict,
     }
 
 
@@ -127,7 +136,7 @@ def _metrics_text(run: dict) -> str:
 
 def compare(rev: str, workload: str, seeds: list, seconds: float, metrics: list) -> bool:
     """Alternating pairs of ``rev`` and this tree; prints every run and the verdict table."""
-    tree = AGAINST_DIR / "parent"
+    tree = AGAINST_TREE
     if tree.exists():
         raise RuntimeError(f"{tree} exists; remove it with 'git worktree remove --force {tree}'")
     subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", str(tree), rev], check=True,
@@ -145,7 +154,7 @@ def compare(rev: str, workload: str, seeds: list, seconds: float, metrics: list)
                        capture_output=True, text=True)
     print(f"\n{workload}: {rev} (parent) against this tree (change), {len(seeds)} pairs")
     print(f"{'metric':12s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} wins  gain>IQR"
-          "  worse than bound")
+          "  verdict")
     within = True
     for metric in metrics:
         name = metric["name"]
@@ -154,9 +163,8 @@ def compare(rev: str, workload: str, seeds: list, seconds: float, metrics: list)
         cells = [f"{q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]" for q in (v["parent"], v["change"])]
         print(f"{name:12s} {cells[0]:34s} {cells[1]:34s} {v['wins']}/{v['pairs']:<3d}"
               f" {'yes' if v['gain_exceeds_parent_iqr'] else 'no':8s}"
-              f"  {'yes' if v['worse_than_bound'] else 'no'}"
-              f" (by more than {v['allowed_worsening']:.4g} {metric['unit']})")
-        within = within and not v["worse_than_bound"]
+              f"  {v['verdict']} (bound {metric['bound']:g} {metric['unit']})")
+        within = within and v["verdict"] == "within"
     failed = [sum(r["failed"] for r in sides[s]) for s in ("parent", "change")]
     print(f"failed operations: parent {failed[0]}, change {failed[1]}")
     return within and failed[1] <= failed[0]
@@ -169,7 +177,6 @@ def main(argv=None) -> int:
     mode.add_argument("--against", metavar="REV", help="compare this tree with REV in alternating pairs")
     parser.add_argument("--workload", help="one workload of BENCHMARK.json (required with --against)")
     parser.add_argument("--seeds", required=True, help="a..b: the seeds, one run (or one pair) each")
-    parser.add_argument("--pairs", type=int, help="with --against: the number of pairs, one per seed")
     args = parser.parse_args(argv)
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -185,10 +192,8 @@ def main(argv=None) -> int:
         path = record(args.label, [args.workload] if args.workload else names, seeds, spec["run_seconds"], units)
         print(f"written {path.relative_to(ROOT)}")
         return 0
-    if args.workload is None or args.pairs is None:
-        parser.error("--against needs --workload and --pairs")
-    if args.pairs != len(seeds):
-        parser.error(f"--pairs {args.pairs} needs as many seeds, got {len(seeds)}")
+    if args.workload is None:
+        parser.error("--against needs --workload")
     return 0 if compare(args.against, args.workload, seeds, spec["run_seconds"], spec["end_to_end"]) else 1
 
 
