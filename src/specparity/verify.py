@@ -466,9 +466,21 @@ def _reconstruction_defect(s: Spectrum, hm: HamiltonianMatrix) -> float:
 
 def _gaussian_state(grid: Grid) -> np.ndarray:
     """A unit-width Gaussian at x = 1, moved to the nearest end of the grid when
-    outside it, so that it cannot underflow to a zero vector."""
-    center = min(max(1.0, grid.points[0]), grid.points[-1])
-    g = np.exp(-((grid.points - center) ** 2) / 2.0)
+    outside it.
+
+    On a grid whose points all lie more than about 38.6 from that centre
+    (a spacing above about 77), the Gaussian underflows to a zero vector;
+    there, and only there, it is centred on the grid point nearest x = 1,
+    where it is 1. A distance whose square overflows gives exp(-inf) = 0,
+    the value it underflows to anyway.
+    """
+    points = grid.points
+    center = min(max(1.0, points[0]), points[-1])
+    with np.errstate(over="ignore"):
+        g = np.exp(-((points - center) ** 2) / 2.0)
+        if not g.any():
+            center = points[np.abs(points - 1.0).argmin()]
+            g = np.exp(-((points - center) ** 2) / 2.0)
     return g / np.linalg.norm(g)
 
 
@@ -493,7 +505,13 @@ def run_suite(
     negative controls (deliberately corrupted bases) are driven through the
     same checks; the report's stage timings then have no ``solve`` entry.
     The rows of ``gradings(omega_branch)`` are built, checked and dropped one
-    at a time. Check order in the report is alphabetical by name.
+    at a time, each complex (non-Hermitian) row before the real ones. The
+    complex grading is the largest array of the suite (16n^2 bytes); built
+    first, it is allocated before the whole real product of a real row's
+    order check has grown the allocator's heap, which then keeps that
+    product resident on top of the complex one. Each check's arithmetic is
+    the same in either order. Check order in the report is alphabetical by
+    name.
     """
     tol = dict(DEFAULT_TOLERANCES)
     tol.update((name, _tolerance(name, value)) for name, value in (tolerances or {}).items())
@@ -518,7 +536,7 @@ def run_suite(
     s = spectrum if spectrum is not None else timed_stage("solve", solve, hm)
     times = np.linspace(0.0, 10.0, 101)  # the conservation checks' grid of t
     psi_super = (s.modes[:, 0] + s.modes[:, 1]) / np.sqrt(2.0)
-    for g in gradings(omega_branch).values():
+    for g in sorted(gradings(omega_branch).values(), key=lambda g: g.target is None):  # complex first
         op = timed_stage(f"build_{g.name}", g.build, s)
         if g.target is None:
             check(f"{g.name}_hermiticity", check_hermiticity, op)

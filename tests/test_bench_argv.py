@@ -1,0 +1,40 @@
+"""``tools/bench_record.py --argv`` on a real command line at n=9, in one fresh interpreter."""
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+COMMAND = "verify --potential harmonic --xmin=-8 --xmax=8 --n 9"
+
+
+def test_argv_mode_times_a_command_line_and_labels_it_outside_the_workloads(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert bench_record.main(["--argv", COMMAND, "--seconds", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"# outside the benchmark's workloads: specparity {COMMAND}"
+    # --seconds 0 leaves one timed call after the warm-up
+    match = re.fullmatch(r"run 1 op_s (\S+)  ru_maxrss_mb (\S+)  failed 0/1", lines[1])
+    assert match and float(match[1]) > 0 and float(match[2]) > 0
+    assert list(tmp_path.iterdir()) == []  # each call writes into a temporary directory
+
+
+@pytest.mark.parametrize("extra", [["--seeds", "1..2"], ["--workload", "verify-asym-999"], ["--runs", "0"],
+                                   ["--label", "x"]])
+def test_argv_mode_refuses_the_workload_flags_and_a_run_count_below_one(extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--argv", COMMAND, *extra])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["--label", "x", "--seeds", "1", "--runs", "2"], ["--against", "HEAD"],
+                                  ["--seeds", "1"]])
+def test_the_workload_modes_refuse_argv_flags_and_need_seeds_and_one_mode(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(argv)
+    assert exc.value.code == 2

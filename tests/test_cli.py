@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -552,6 +553,23 @@ def test_a_non_finite_residual_exits_3_and_names_its_check(tmp_path, capsys):
     assert err.startswith("error: verification stage 'conservation_superposition' failed: residual is nan")
     assert "Traceback" not in err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("case", [
+    ["--poly=0.0,-0.009999769744141627,7.981434755192005e+30",
+     "--xmin=-3.9907173775960026e+30", "--xmax=3.9907173775960026e+30"],
+    ["--poly=0,0,1e-300", "--xmin=-1e200", "--xmax=1e200"],  # each (x - 1)^2 overflows
+])
+def test_a_grid_too_coarse_for_the_clamped_gaussian_ends_in_a_verdict(tmp_path, case):
+    # every grid point lies farther than about 38.6 from x = 1, where the
+    # conservation check's Gaussian would underflow to a zero vector
+    argv = ["verify", *case, "--n=12", "--out", tmp_path]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(argv) in (0, 1)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    (gaussian,) = [c for c in doc["checks"] if c["name"] == "conservation_gaussian"]
+    assert gaussian["pass"]
 
 
 def test_verify_of_a_huge_t_has_finite_commutator_residuals(tmp_path):

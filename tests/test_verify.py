@@ -377,7 +377,7 @@ def test_stage_failures_carry_the_stage_name(qc_199):
     partial = dataclasses.replace(qc_199, modes=qc_199.modes[:, :50])
     with pytest.raises(sp.SuiteStageError) as err:
         sp.run_suite(sp.named("quartic_cubic"), qc_199.grid, spectrum=partial)
-    assert err.value.stage == "build_parity"
+    assert err.value.stage == "build_triparity"  # the complex grading is built first
 
 
 def test_report_schema_and_serialization(qc_suite):
@@ -432,7 +432,7 @@ def test_a_non_finite_residual_raises_a_stage_error_that_names_its_check():
 def test_report_carries_stage_timings(qc_suite):
     doc = json.loads(qc_suite.to_json())
     # the reconstruction is streamed inside its check, so it is no stage
-    stages = ["assemble", "solve", "build_parity", "build_triparity"]
+    stages = ["assemble", "solve", "build_triparity", "build_parity"]
     assert list(doc["timings"]) == stages
     assert all(seconds >= 0.0 for seconds in doc["timings"].values())
     # timings are unstable like the per-check seconds, so they leave together
@@ -444,3 +444,29 @@ def test_gaussian_state_off_the_grid_keeps_the_conservation_check_finite():
     report = sp.run_suite(sp.named("harmonic"), sp.make_grid(-50, -40, 49))
     (gaussian,) = [c for c in report.checks if c.name == "conservation_gaussian"]
     assert 0.0 <= gaussian.residual <= gaussian.tolerance
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, n",
+    [(-10, 10, 999), (-10, 10, 399), (-8, 8, 1999), (-8, 8, 199), (-8, 8, 399), (-8, 8, 799), (-8, 8, 1599),
+     (-50, -40, 49)],
+)
+def test_gaussian_state_keeps_its_bits_where_the_clamped_gaussian_is_nonzero(x_min, x_max, n):
+    from specparity.verify import _gaussian_state
+
+    points = sp.make_grid(x_min, x_max, n).points
+    center = min(max(1.0, points[0]), points[-1])
+    g = np.exp(-((points - center) ** 2) / 2.0)
+    assert _gaussian_state(sp.make_grid(x_min, x_max, n)).tobytes() == (g / np.linalg.norm(g)).tobytes()
+
+
+@pytest.mark.parametrize("width", [3.9907173775960026e30, 1e200])
+def test_gaussian_state_on_a_grid_too_coarse_for_the_clamped_gaussian_is_a_unit_vector(width):
+    from specparity.verify import _gaussian_state
+
+    grid = sp.make_grid(-width, width, 12)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):  # exp may underflow
+        psi = _gaussian_state(grid)
+    # centred on the grid point nearest x = 1, where it is 1; every other point underflows
+    nearest = np.abs(grid.points - 1.0).argmin()
+    assert psi[nearest] == 1.0 and np.count_nonzero(psi) == 1
