@@ -95,13 +95,6 @@ class GradingWeights:
     def __len__(self) -> int:
         return self.values.size
 
-    def __mul__(self, other: "GradingWeights") -> "GradingWeights":
-        if not isinstance(other, GradingWeights):
-            return NotImplemented
-        if len(self) != len(other):
-            raise NonUnimodularWeightError("weight sequences differ in length")
-        return GradingWeights(self.values * other.values)
-
     @classmethod
     def identity(cls, m: int) -> "GradingWeights":
         return cls(np.ones(m))

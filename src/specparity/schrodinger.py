@@ -35,13 +35,14 @@ _NODE_RTOL = 1e-9
 _ROW_BLOCKS = 8
 
 
-def _row_blocks(count: int):
-    """Slices of ceil(count / 8) consecutive rows that cover 0..count-1.
+def _row_blocks(count: int, span: int | None = None):
+    """Slices of ceil(span / 8) consecutive rows that cover 0..count-1.
 
     The checks stream through these blocks, so no check holds an n x n
-    temporary: each block's work touches about n^2 / 8 entries.
+    temporary: each block's work touches about n^2 / 8 entries. ``span``
+    defaults to count, which makes eight blocks.
     """
-    step = -(-count // _ROW_BLOCKS) or 1  # no blocks for count 0
+    step = -(-(count if span is None else span) // _ROW_BLOCKS) or 1  # no blocks for count 0
     return (slice(i, min(i + step, count)) for i in range(0, count, step))
 
 

@@ -172,6 +172,17 @@ def _centrosymmetric(a: np.ndarray) -> bool:
     return _rows_equal(n - n // 2, lambda r: a[n - r.stop : n - r.start][::-1, ::-1], lambda r: a[r])
 
 
+def _lanczos_norm(embedded, n: int) -> float:
+    """Largest |eigenvalue| of the real symmetric 2n x 2n operator ``embedded``, by one Lanczos run."""
+    # imported here, not at module top, so CLI start-up does not pay for it
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    op = LinearOperator((2 * n, 2 * n), matvec=embedded, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(2 * n)
+    vals = eigsh(op, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
+    return float(np.abs(vals).max())
+
+
 def _lanczos_gap(a: np.ndarray) -> float:
     """Spectral norm of A - A^dagger for a square A, by one Lanczos run.
 
@@ -189,9 +200,6 @@ def _lanczos_gap(a: np.ndarray) -> float:
     a zero operator. That guard stops at the first row block where
     A != A^dagger, so a matrix far from Hermitian pays for one block.
     """
-    # imported here, not at module top, so CLI start-up does not pay for it
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
     if _hermitian(a):
         return 0.0
     n = a.shape[0]
@@ -205,30 +213,120 @@ def _lanczos_gap(a: np.ndarray) -> float:
         az, atz = a @ z, z.conj() @ a
         return np.concatenate([az.imag + atz.imag, atz.real - az.real])
 
-    op = LinearOperator((2 * n, 2 * n), matvec=embedded, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(2 * n)
-    vals = eigsh(op, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
-    return float(np.abs(vals).max())
+    return _lanczos_norm(embedded, n)
+
+
+_PACK_ROWS = 32  # rows of a fold block formed at a time while its panels are written
+
+
+def _fold(a: np.ndarray, rows: slice, cols: slice, even: bool) -> np.ndarray:
+    """Entries [rows, cols] of the even (B_e) or odd (B_o) fold block of a centrosymmetric A.
+
+    With m = n//2, B[i, j] = A[i, j] +- A[n-1-i, j] for i, j < m, which is
+    A[i, j] +- A[i, n-1-j] since A[n-1-i, j] == A[i, n-1-j]: the mirrored
+    rows are read forward. For an odd n, B_e's middle row and column are
+    sqrt(2) A[m, j] and sqrt(2) A[i, m], and B_e[m, m] = A[m, m].
+    """
+    n = a.shape[0]
+    m = n // 2
+    i0, i1, j0, j1 = rows.start, rows.stop, cols.start, cols.stop
+    top, left = min(i1, m), min(j1, m)  # the rows and columns before the middle
+    b = np.empty((i1 - i0, j1 - j0), a.dtype)
+    if top > i0 and left > j0:
+        fold = np.add if even else np.subtract
+        fold(a[i0:top, j0:left], a[n - top : n - i0, j0:left][::-1], out=b[: top - i0, : left - j0])
+    if i1 > m:
+        np.multiply(a[m, j0:left], math.sqrt(2.0), out=b[m - i0, : left - j0])
+    if j1 > m:
+        np.multiply(a[i0:top, m], math.sqrt(2.0), out=b[: top - i0, m - j0])
+        if i1 > m:
+            b[m - i0, m - j0] = a[m, m]
+    return b
+
+
+def _difference_panels(a: np.ndarray, size: int, even: bool) -> list:
+    """H = (B - B^dagger)/i of one fold block (``_fold``), its lower triangle in panels.
+
+    For each row block p of 0..size-1 (``_row_blocks``) the panel holds
+    H[p.start:, p], the columns p from their diagonal block down, stored
+    transposed: P[t, u] = H[p.start + u, p.start + t]. The panels lie one
+    after the other in one buffer, about 0.56 size^2 entries. With
+    D = B[k, j] - conj(B[j, k]), H[k, j] = D/i = Im D - i Re D is written
+    from B's entries [j, k] and [k, j] alone, so an exactly Hermitian
+    block gives exact zeros. Each panel is written ``_PACK_ROWS`` rows at
+    a time, from B's rows and columns at those rows.
+    """
+    blocks = list(_row_blocks(size))
+    buf = np.empty(sum((p.stop - p.start) * (size - p.start) for p in blocks), complex)
+    panels, start = [], 0
+    for p in blocks:
+        panel = buf[start : start + (p.stop - p.start) * (size - p.start)].reshape(p.stop - p.start, -1)
+        for j0 in range(p.start, p.stop, _PACK_ROWS):
+            j1 = min(j0 + _PACK_ROWS, p.stop)
+            row = _fold(a, slice(j0, j1), slice(p.start, size), even)  # B[j, k]
+            col = _fold(a, slice(p.start, size), slice(j0, j1), even).T  # B[k, j]
+            part = panel[j0 - p.start : j1 - p.start]
+            np.add(col.imag, row.imag, out=part.real)
+            np.subtract(row.real, col.real, out=part.imag)
+        panels.append((p, panel))
+        start += panel.size
+    return panels
+
+
+def _panels_norm(panels: list, n: int) -> float:
+    """Spectral norm of the n x n Hermitian H held in ``_difference_panels`` panels.
+
+    H = R + iM acts on z = x + iy through two matrix-vector products per
+    panel P of columns p: rows p of H z take conj(P conj(z[p.start:])), and
+    the rows below them take z[p] P[:, len(p):]. Its real embedding
+    [[R, -M], [M, R]] maps (x, y) to (Re H z, Im H z), and one Lanczos run
+    gives its largest eigenvalue in magnitude. An all-zero H gives 0.0
+    without Lanczos.
+
+    The products are numpy's, on the BLAS that builds and checks the
+    gradings. A packed ``zhpmv`` from ``scipy.linalg.blas`` reads less per
+    step, but scipy's wheels bundle their own OpenBLAS, and its threads and
+    numpy's, which spin for a while after each call, then share the cores:
+    on a 2-core host, the first block's Lanczos run, right after the
+    build's GEMMs, took about four times as long as the second block's.
+    """
+    if not any(panel.any() for _, panel in panels):
+        return 0.0
+
+    def embedded(v):
+        v = np.ravel(v)
+        z = v[:n] + 1j * v[n:]
+        conj = z.conj()
+        hz = np.zeros(n, complex)
+        for p, panel in panels:
+            hz[p] += np.conj(panel @ conj[p.start :])
+            hz[p.stop :] += z[p] @ panel[:, p.stop - p.start :]
+        return np.concatenate([hz.real, hz.imag])
+
+    return _lanczos_norm(embedded, n)
 
 
 def spectral_hermiticity_gap(k: OperatorKernel) -> float:
     """Spectral norm of A - A^dagger (reported for non-Hermitian gradings).
 
-    The norm comes from ``_lanczos_gap``: on A itself, or, when A is its
-    own mirror image (``_centrosymmetric``, checked entry by entry), on two
-    half-size blocks.
-    With m = n//2 and h = n - m, the orthogonal fold F whose columns are
-    (e_j +- e_{n-1-j})/sqrt(2) for j < m, and e_m for an odd n, gives
-    F^T A F = diag(B_e, B_o), formed from A's top rows:
+    The norm comes from ``_lanczos_gap`` on A itself, or, when A is its own
+    mirror image (``_centrosymmetric``, checked entry by entry), from two
+    half-size blocks. With m = n//2 and h = n - m, the orthogonal fold F
+    whose columns are (e_j +- e_{n-1-j})/sqrt(2) for j < m, and e_m for an
+    odd n, gives F^T A F = diag(B_e, B_o), formed from A's top rows
+    (``_fold``):
 
         B_e[i, j] = A[i, j] + A[i, n-1-j],   B_o[i, j] = A[i, j] - A[i, n-1-j]
 
     for i, j < m, and for an odd n B_e[i, m] = sqrt(2) A[i, m],
     B_e[m, j] = sqrt(2) A[m, j] and B_e[m, m] = A[m, m]. F is real, so
     F^T (A - A^dagger) F = diag(B_e - B_e^dagger, B_o - B_o^dagger), and
-    the norm is the larger of the two block norms. The blocks are held one
-    at a time in one h x h buffer. An exactly Hermitian block gives 0.0 in
-    ``_lanczos_gap``. So does an exactly Hermitian A: if A is also
+    the norm is the larger of the two block norms. Each block's Hermitian
+    (B - B^dagger)/i is held as its lower triangle in eight column panels
+    (``_difference_panels``), about 0.56 h^2 entries instead of h^2, one
+    block after the other, and its norm is one Lanczos run through two
+    matrix-vector products per panel (``_panels_norm``). An exactly
+    Hermitian block gives 0.0. So does an exactly Hermitian A: if A is also
     centrosymmetric, conj(B_e[j, i]) = A[i, j] + A[n-1-i, j] = B_e[i, j]
     exactly, and likewise for B_o and the sqrt(2)-scaled middle entries.
     """
@@ -237,18 +335,8 @@ def spectral_hermiticity_gap(k: OperatorKernel) -> float:
         return _lanczos_gap(a)
     n = k.n
     m, h = n // 2, n - n // 2
-    buf = np.empty(h * h, a.dtype)
-    mirrored = a[:m, ::-1][:, :m]  # A[i, n-1-j] at (i, j)
-    even = buf.reshape(h, h)
-    np.add(a[:m, :m], mirrored, out=even[:m, :m])
-    if h > m:  # the middle row and column of an odd n
-        np.multiply(a[:m, m], math.sqrt(2.0), out=even[:m, m])
-        np.multiply(a[m, :m], math.sqrt(2.0), out=even[m, :m])
-        even[m, m] = a[m, m]
-    gap = _lanczos_gap(even)
-    odd = buf[: m * m].reshape(m, m)
-    np.subtract(a[:m, :m], mirrored, out=odd)
-    return max(gap, _lanczos_gap(odd))
+    gap = _panels_norm(_difference_panels(a, h, True), h)
+    return max(gap, _panels_norm(_difference_panels(a, m, False), m))
 
 
 def check_commutator(k: OperatorKernel, hm: HamiltonianMatrix) -> float:
@@ -301,6 +389,11 @@ def check_order(k: OperatorKernel, m: int) -> float:
 
     A complex A is streamed: rows b of A^m are formed as (A[b] A) ... A,
     so one row block of the product is live instead of A^(m-1) and A^m.
+    The blocks hold ceil(n/8) rows, or, for a centrosymmetric A
+    (``_centrosymmetric``), ceil((n - n//2)/8), the height its other checks
+    use for it, which halves the live products. The complex GEMMs of the
+    harmonic triparity give each row the same bits under either height
+    (tested at n = 199, 200, 399 and 400), so its residual keeps its bits.
     A real A keeps the whole product: a real GEMM cut into row blocks may
     round differently from the whole one, and the real residuals stay
     bitwise those of the dense formula.
@@ -323,7 +416,8 @@ def check_order(k: OperatorKernel, m: int) -> float:
 
     if not np.iscomplexobj(a):
         return _identity_defect(power(slice(None)))
-    return max(_identity_defect(power(rows), rows.start) for rows in _row_blocks(k.n))
+    span = k.n - k.n // 2 if _centrosymmetric(a) else k.n
+    return max(_identity_defect(power(rows), rows.start) for rows in _row_blocks(k.n, span))
 
 
 def check_involution(k: OperatorKernel) -> float:

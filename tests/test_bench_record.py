@@ -1,12 +1,16 @@
 """The arithmetic of ``tools/bench_record.py`` on synthetic runs; no benchmark is started."""
 import importlib.util
+import io
 import json
 import subprocess
+import sys
+import tarfile
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_record.py"
 _spec = importlib.util.spec_from_file_location("bench_record", TOOL)
 bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
@@ -114,3 +118,47 @@ def test_record_writes_each_run_and_the_quartiles_across_runs(tmp_path, monkeypa
                                 "metrics": {"op_s": 0.1, "peak_rss_mb": 97.0}}
     assert entry["summary"]["op_s"] == pytest.approx({"unit": "s", "q1": 0.1, "median": 0.2, "q3": 0.3})
     assert entry["summary"]["peak_rss_mb"]["median"] == 98.0
+
+
+def test_the_source_digest_is_the_benchmarks():
+    run_bench = sys.modules["run_bench"]  # imported by the tool
+    files = {p.name: p.read_bytes() for p in (ROOT / "src" / "specparity").glob("*.py")}
+    assert bench_record.source_digest(files) == run_bench._source_digest()
+    assert bench_record.source_digest({"a.py": b"1", "b.py": b"2"}) != bench_record.source_digest({"a.py": b"2", "b.py": b"1"})
+
+
+def test_the_head_digest_reads_the_committed_sources_of_the_package(tmp_path, monkeypatch):
+    archive = io.BytesIO()
+    with tarfile.open(fileobj=archive, mode="w") as tar:
+        for name, data in (("src/specparity/b.py", b"b"), ("src/specparity/a.py", b"a"),
+                           ("src/specparity/notes.txt", b"n"), ("src/specparity/sub/c.py", b"c")):
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    calls = []
+
+    def fake_git(cmd, **kwargs):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout=archive.getvalue())
+
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    assert bench_record.head_source_digest() is None  # no .git: no process
+    (tmp_path / ".git").mkdir()
+    monkeypatch.setattr(subprocess, "run", fake_git)
+    assert bench_record.head_source_digest() == bench_record.source_digest({"a.py": b"a", "b.py": b"b"})
+    assert calls == [["git", "-C", str(tmp_path), "archive", "--format=tar", "HEAD", "src/specparity"]]
+
+
+@pytest.mark.parametrize("head, matches", [("0123", True), ("4567", False), (None, None)])
+def test_record_says_whether_the_measured_source_is_heads(tmp_path, monkeypatch, head, matches):
+    def fake_run_once(tree, workload, seed, seconds):
+        return {"workload": workload, "seed": seed, "src_sha256": "0123"}, {
+            "seed": seed, "correct": True, "attempted": 1, "failed": 0, "metrics": {"op_s": 0.1}}
+
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_record, "head_source_digest", lambda: head)
+    doc = json.loads(bench_record.record("t", ["w", "v"], [1], 25, {"op_s": "s"}).read_text())
+    for entry in doc["workloads"].values():
+        assert entry["env"]["src_sha256"] == "0123"
+        assert entry["head_src_sha256"] == head and entry["src_matches_head"] is matches

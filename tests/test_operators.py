@@ -113,7 +113,7 @@ def test_grading_weights_compose_multiplicatively(qc_199):
     w1 = sp.GradingWeights(np.exp(1j * rng.uniform(0, 2 * np.pi, 199)))
     w2 = sp.GradingWeights(np.exp(1j * rng.uniform(0, 2 * np.pi, 199)))
     lhs = sp.compose(sp.build_graded(qc_199, w1), sp.build_graded(qc_199, w2))
-    rhs = sp.build_graded(qc_199, w1 * w2)
+    rhs = sp.build_graded(qc_199, sp.GradingWeights(w1.values * w2.values))
     assert np.abs(lhs.action - rhs.action).max() <= 1e-10
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import specparity as sp
 from specparity.cli import main
-from specparity.schrodinger import _row_blocks, _sectors
+from specparity.schrodinger import _identity_defect, _row_blocks, _sectors
 from specparity.verify import _centrosymmetric, _reconstruction_defect, reflection_defect
 
 from test_schrodinger import DOUBLE_WELL
@@ -178,6 +178,19 @@ def test_check_order_is_the_common_identity_check(harmonic_199):
         sp.check_order(q, 1)
     with pytest.raises(sp.TruncatedOperatorError):
         sp.check_order(sp.build_triparity(harmonic_199, truncate=50), 3)
+
+
+@pytest.mark.parametrize("n", [199, 200, 399, 400])
+def test_cube_of_a_centrosymmetric_grading_keeps_the_bits_of_the_eight_block_stream(n):
+    # Q is streamed in blocks of ceil((n - n//2)/8) rows, the height of its
+    # other checks; the residual equals, bit for bit, the one formed over
+    # blocks of ceil(n/8) rows.
+    _, s = _solved(n)
+    q = sp.build_triparity(s)
+    a = q.action
+    assert _centrosymmetric(a)
+    eight = max(_identity_defect((a[rows] @ a) @ a, rows.start) for rows in _row_blocks(n))
+    assert sp.check_cube(q) == eight
 
 
 def test_hermiticity_gap_of_a_real_kernel_matches_dense_eigvalsh():
@@ -443,6 +456,51 @@ def test_block_hermiticity_gap_with_an_exactly_hermitian_odd_block(n):
     assert gap > 1.0
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_block_hermiticity_gap_with_an_exactly_hermitian_even_block(monkeypatch, n):
+    # Integer entries with X + Y Hermitian make B_e = X + Y exactly Hermitian,
+    # the middle row and column of an odd n too, while B_o = X - Y is not:
+    # Lanczos runs once, on B_o.
+    m = n // 2
+    rng = np.random.default_rng(n)
+
+    def integers(*shape):
+        return rng.integers(-4, 5, shape) + 1j * rng.integers(-4, 5, shape)
+
+    x, g = integers(m, m), integers(m, m)
+    y = g + g.conj().T - x
+    middle = integers(m, n - 2 * m)
+    top = np.hstack([x, middle, y[:, ::-1]])
+    centre = middle.conj().T
+    centre = np.hstack([centre, rng.integers(-4, 5, (n - 2 * m, n - 2 * m)), centre[:, ::-1]])
+    a = np.vstack([top, centre, top[::-1, ::-1]])
+    assert _centrosymmetric(a)
+    assert np.array_equal(x + y, (x + y).conj().T) and not np.array_equal(x - y, (x - y).conj().T)
+    from scipy.sparse import linalg
+
+    runs = []
+    eigsh = linalg.eigsh
+
+    def counted(*args, **kwargs):
+        runs.append(args[0].shape)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigsh", counted)
+    gap = sp.spectral_hermiticity_gap(sp.OperatorKernel(grid=sp.make_grid(-1, 1, n), action=a))
+    assert runs == [(2 * m, 2 * m)]
+    assert gap == pytest.approx(_dense_gap(a), rel=1e-12)
+    assert gap > 1.0
+
+
+@pytest.mark.parametrize("n", [8, 9, 200])
+def test_block_hermiticity_gap_of_a_real_centrosymmetric_kernel(n):
+    a = np.random.default_rng(n).standard_normal((n, n))
+    a = a + a[::-1, ::-1]
+    assert _centrosymmetric(a)
+    gap = sp.spectral_hermiticity_gap(sp.OperatorKernel(grid=sp.make_grid(-1, 1, n), action=a))
+    assert gap == pytest.approx(_dense_gap(a), rel=1e-12)
+
+
 def test_non_centrosymmetric_hermiticity_gap_is_the_whole_matrix_lanczos(harmonic_199):
     # Oracle: one Lanczos run on the real embedding of the whole A, as the
     # gap is computed when A is not its own mirror image.
@@ -529,6 +587,37 @@ def _allocated_arrays(fn, *args, n=BUDGET_N):
 def test_check_allocates_at_most_its_budget(budget_case, name):
     _, arrays = _allocated_arrays(BUDGET_CHECKS[name], *budget_case)
     assert arrays <= BUDGET_ARRAYS, f"{name} allocated {arrays:.2f} n x n arrays"
+
+
+# A centrosymmetric Q streams its powers in blocks of ceil((n - n//2)/8)
+# rows, so its cube's two live products hold 0.25 x 8n^2; blocks of
+# ceil(n/8) rows hold 0.50.
+CUBE_BUDGET_ARRAYS = 0.3
+
+
+def test_cube_of_a_centrosymmetric_grading_allocates_at_most_its_budget(budget_case):
+    q = budget_case[3]
+    assert _centrosymmetric(q.action)
+    _, arrays = _allocated_arrays(sp.check_cube, q)
+    assert arrays <= CUBE_BUDGET_ARRAYS, f"check_cube allocated {arrays:.2f} n x n arrays"
+
+
+# The gap of a centrosymmetric Q holds one fold block's Hermitian difference
+# as lower-triangle panels, about 0.56 h^2 complex entries (0.28 x 8n^2),
+# and a few rows of the block at a time; an h x h complex block buffer holds
+# 0.50 x 8n^2. At a small n the Lanczos vectors are a larger share, so the
+# budget is read at a large one.
+GAP_N = 1599
+GAP_BUDGET_ARRAYS = 0.4
+
+
+def test_hermiticity_gap_of_a_centrosymmetric_grading_allocates_at_most_its_budget():
+    _, s = _solved(GAP_N)
+    q = sp.build_triparity(s)
+    assert _centrosymmetric(q.action)
+    gap, arrays = _allocated_arrays(sp.spectral_hermiticity_gap, q, n=GAP_N)
+    assert gap == pytest.approx(np.sqrt(3.0), abs=1e-10)
+    assert arrays <= GAP_BUDGET_ARRAYS, f"spectral_hermiticity_gap allocated {arrays:.2f} n x n arrays"
 
 
 # The triparity build holds its complex action (2 x 8n^2) and one row

@@ -14,6 +14,13 @@ and writes ``BENCH_<L>.json`` at the repository root: per workload, the
 environment, each run's metrics with ``correct``, ``attempted`` and ``failed``,
 and each metric's median and quartiles across the runs.
 
+Each workload's entry also holds ``head_src_sha256``, the digest that
+``bench/run_bench.py`` records as ``src_sha256``, taken over ``HEAD``'s committed
+``src/specparity/*.py``, and ``src_matches_head``, whether the measured source is
+``HEAD``'s. The run's ``commit`` names ``HEAD`` also when the tree has uncommitted
+changes, so a file recorded before its change is committed reads ``false`` there.
+Outside a git checkout both are null.
+
 ``--against REV`` extracts REV with ``git archive`` into ``.bench-against/``
 and runs the workload on both trees in alternating pairs, REV first on odd pairs,
 one pair per seed. For each end-to-end metric of ``BENCHMARK.json`` it prints both
@@ -41,15 +48,18 @@ the median gain exceeds REV's interquartile range, but no verdict: the bounds of
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import os
 import shlex
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 from contextlib import contextmanager
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 ROOT = Path(__file__).resolve().parents[1]
 AGAINST_TREE = ROOT / ".bench-against"
@@ -147,6 +157,32 @@ def run_argv(tree: Path, argv: list, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def source_digest(files: dict) -> str:
+    """The digest of ``bench/run_bench.py``'s ``_source_digest`` over ``{file name: bytes}``."""
+    h = hashlib.sha256()
+    for name in sorted(files):
+        h.update(name.encode())
+        h.update(files[name])
+    return h.hexdigest()[:16]
+
+
+def head_source_digest() -> str | None:
+    """``source_digest`` of ``HEAD``'s ``src/specparity/*.py``; None outside a git checkout."""
+    if not (ROOT / ".git").exists():
+        return None
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", "HEAD", "src/specparity"],
+                             capture_output=True)
+    if archive.returncode != 0:
+        return None
+    files = {}
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        for member in tar:
+            path = PurePosixPath(member.name)
+            if member.isfile() and path.parent == PurePosixPath("src/specparity") and path.suffix == ".py":
+                files[path.name] = tar.extractfile(member).read()
+    return source_digest(files)
+
+
 def summarize(runs: list, units: dict) -> dict:
     """Each metric's unit, median and quartiles across the runs."""
     return {name: {"unit": unit, **quartiles([r["metrics"][name] for r in runs])} for name, unit in units.items()}
@@ -154,6 +190,7 @@ def summarize(runs: list, units: dict) -> dict:
 
 def record(label: str, workloads: list, seeds: list, seconds: float, units: dict) -> Path:
     doc = {"label": label, "run_seconds": seconds, "trace": 0, "workloads": {}}
+    head = head_source_digest()
     for workload in workloads:
         runs, env = [], None
         for seed in seeds:
@@ -161,7 +198,13 @@ def record(label: str, workloads: list, seeds: list, seconds: float, units: dict
             runs.append(run)
             print(f"{workload} " + _metrics_text(run), flush=True)
         env.pop("seed")  # each run's seed is in its record
-        doc["workloads"][workload] = {"env": env, "runs": runs, "summary": summarize(runs, units)}
+        doc["workloads"][workload] = {
+            "env": env,
+            "head_src_sha256": head,
+            "src_matches_head": None if head is None else env.get("src_sha256") == head,
+            "runs": runs,
+            "summary": summarize(runs, units),
+        }
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return path
