@@ -27,7 +27,7 @@ from .errors import (
     TruncatedSpectrumError,
 )
 from .grids import Grid, require_same_grid
-from .schrodinger import Spectrum, _dyad_blocks, _dyad_rows
+from .schrodinger import Spectrum, _dyad_blocks, _dyad_rows, _fold_sizes
 from .serial import fmt_rows
 
 UNIT_MODULUS_TOL = 1e-12
@@ -155,7 +155,7 @@ def build_graded(s: Spectrum, w, truncate: int | None = None) -> OperatorKernel:
         )
     if np.iscomplexobj(w.values):
         n = block.shape[0]
-        top = n - n // 2 if s.folded else n
+        top = _fold_sizes(n)[1] if s.folded else n
         action = np.empty((n, n), complex)
         for part, weights in ((action.real, w.values.real), (action.imag, w.values.imag)):
             for rows, g in _dyad_blocks(s, block, weights):

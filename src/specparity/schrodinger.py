@@ -46,6 +46,20 @@ def _row_blocks(count: int, span: int | None = None):
     return (slice(i, min(i + step, count)) for i in range(0, count, step))
 
 
+def _fold_sizes(n: int) -> tuple:
+    """(m, h) for n points: m mirrored pairs, and h = n - m top rows, the pairs' upper
+    rows and, for an odd n, the middle row. The fold blocks (``fold_bands``) are h and m wide."""
+    m = n // 2
+    return m, n - m
+
+
+def _top_weights(n: int) -> np.ndarray:
+    """Weights of the h top rows of a mirror-symmetric n-row array: 2.0 for a row that
+    stands for its mirror too, 1.0 for the middle row of an odd n, its own mirror."""
+    m, h = _fold_sizes(n)
+    return np.where(np.arange(h) < m, 2.0, 1.0)
+
+
 def _max_abs(c: np.ndarray) -> float:
     """max|C|; a real C is reduced by its max and min, with no |C| temporary."""
     if np.iscomplexobj(c):
@@ -149,11 +163,11 @@ class Spectrum:
     energies are ascending; the columns of ``modes`` are Euclidean-
     orthonormal eigenvectors u_n with the first significant entry positive.
 
-    ``folded`` records that ``solve`` took T apart into its two parity
-    blocks, because T's bands are palindromic. The modes of such a spectrum
-    are exact mirrors, u_n[::-1] == (-1)^n u_n, so its dyad sums and Gram
-    matrices are formed on its two half-size parity sectors (``_sectors``).
-    A folded spectrum whose modes break the mirror raises ValueError.
+    ``folded`` records that ``solve`` took a palindromic T apart into its
+    two fold blocks (``fold_bands``). The modes of such a spectrum are exact
+    mirrors, u_n[::-1] == (-1)^n u_n, so its dyad sums and Gram matrices are
+    formed on its parity sectors (``_sectors``); modes that break the mirror
+    raise ValueError.
     """
 
     grid: Grid
@@ -167,7 +181,7 @@ class Spectrum:
         u = self.modes
         n, signs = u.shape[0], (-1.0) ** np.arange(u.shape[1])
         # row n-1-i against row i
-        if not _rows_equal(n - n // 2, lambda r: u[n - r.stop : n - r.start][::-1], lambda r: u[r] * signs):
+        if not _rows_equal(_fold_sizes(n)[1], lambda r: u[n - r.stop : n - r.start][::-1], lambda r: u[r] * signs):
             raise ValueError(
                 "the modes of a folded spectrum must be exact mirrors, u_k[::-1] == (-1)^k u_k"
             )
@@ -223,40 +237,52 @@ def _eigh_tridiagonal(diag: np.ndarray, offdiag: np.ndarray):
     return energies, vectors
 
 
-def _solve_folded(hm: HamiltonianMatrix):
-    """Eigenpairs of a palindromic T from its even and odd half-size blocks.
+def fold_bands(hm: HamiltonianMatrix) -> tuple:
+    """The tridiagonals that ``solve`` diagonalizes, as (diag, offdiag, cols, sign).
 
-    In the basis (e_i +- e_{n-1-i}) / sqrt(2), plus e_m at the middle of an
-    odd n, T is the direct sum of two tridiagonal blocks (Cantoni & Butler,
-    Linear Algebra Appl. 13 (1976) 275-288). A block vector v unfolds to the
-    mode [v/sqrt2, v_m, +-v[::-1]/sqrt2], whose halves are the same rounded
-    numbers, so u[::-1] == (-1)^k u exactly. Mode 2k is the even block's
-    k-th eigenvector and mode 2k+1 the odd block's, as the oscillation
-    theorem orders them. Eigenvalues that contradict this alternation by
-    more than the degeneracy guard raise DegenerateSpectrumError; within
-    the guard the modes keep it and ``energies`` is sorted ascending.
+    A T whose bands are not palindromic is one, its own bands. A palindromic
+    T is two: the orthogonal fold F, columns (e_j +- e_{n-1-j})/sqrt(2) for
+    j < m and e_m for an odd n (``_fold_sizes``), gives F^T T F = diag(B_e,
+    B_o) of sizes h and m (Cantoni & Butler, Linear Algebra Appl. 13 (1976)
+    275-288). B_e fills U's even columns with sign +1, B_o the odd, -1.
     """
-    n, d, e = hm.n, hm.diag, hm.offdiag
-    m = n // 2
+    d, e = hm.diag, hm.offdiag
+    if not hm.palindromic:
+        return ((d, e, slice(None), 1.0),)
+    m, h = _fold_sizes(hm.n)
+    d_even, e_even, d_odd = d[:h].copy(), e[: h - 1].copy(), d[:m].copy()
+    if m == h:  # the two middle rows couple to each other
+        d_even[-1] += e[m - 1]
+        d_odd[-1] -= e[m - 1]
+    else:  # the middle row couples to both halves
+        e_even[-1] *= np.sqrt(2.0)
+    return (d_even, e_even, slice(0, None, 2), 1.0), (d_odd, e[: m - 1], slice(1, None, 2), -1.0)
+
+
+def _solve_folded(hm: HamiltonianMatrix):
+    """Eigenpairs of a palindromic T from its even and odd blocks (``fold_bands``).
+
+    A block vector v unfolds to the mode [v/sqrt2, v_m, +-v[::-1]/sqrt2],
+    so u[::-1] == (-1)^k u exactly. Mode 2k is the even block's k-th vector
+    and mode 2k+1 the odd block's, as the oscillation theorem orders them.
+    Eigenvalues that contradict this by more than the degeneracy guard raise
+    DegenerateSpectrumError; within it ``energies`` is sorted ascending.
+    """
+    n = hm.n
+    m, _ = _fold_sizes(n)
     root2 = np.sqrt(2.0)
     # first, so the odd block reuses the even block's freed memory; column-major,
     # as stemr returns U, so that the parity sectors are BLAS-ready views
     modes = np.empty((n, n), order="F")
     alternating = np.empty(n)
-    for parity, cols in ((1.0, slice(0, None, 2)), (-1.0, slice(1, None, 2))):
-        size = n - m if parity > 0 else m
-        d_block, e_block = d[:size].copy(), e[: size - 1].copy()
-        if n % 2 == 0:
-            d_block[-1] += parity * e[m - 1]  # the two middle rows couple to each other
-        elif parity > 0:
-            e_block[-1] *= root2  # the middle row couples to both halves
+    for d_block, e_block, cols, sign in fold_bands(hm):
         values, v = _eigh_tridiagonal(d_block, e_block)
         alternating[cols] = values
         u = modes[:, cols]
         np.divide(v[:m], root2, out=u[:m])
-        np.divide(v[:m][::-1], parity * root2, out=u[n - m :])
+        np.divide(v[:m][::-1], sign * root2, out=u[n - m :])
         if n % 2:
-            u[m] = v[m] if parity > 0 else 0.0
+            u[m] = v[m] if sign > 0 else 0.0
         del v  # freed before the odd block is solved
     guard = DEGENERACY_RTOL * np.abs(alternating).max()
     gaps = np.diff(alternating)
@@ -308,10 +334,9 @@ def solve(hm: HamiltonianMatrix) -> Spectrum:
     """Full eigendecomposition of the tridiagonal Hamiltonian.
 
     All n eigenpairs are computed: downstream operator constructions need
-    the complete discrete basis for their identities to hold exactly. A
-    reflection-symmetric T (palindromic bands) is solved as its two
-    half-size parity blocks, and its spectrum is recorded as folded; any
-    other T in one stemr call.
+    the complete discrete basis for their identities to hold exactly. Each
+    tridiagonal of ``fold_bands`` takes one stemr call; a palindromic T's
+    spectrum is recorded as folded.
     """
     reflective = hm.palindromic
     if reflective:
@@ -333,15 +358,14 @@ def _sectors(s: Spectrum, u: np.ndarray) -> tuple:
     """The parity sectors of u, the first u.shape[1] modes of s, as views of u.
 
     An unfolded spectrum is one sector, u itself. A folded one is two: the
-    top h = n - n//2 rows of the even and of the odd columns of u. U is
-    column-major on both solve paths, so each sector has unit row stride
-    and BLAS takes it as it is. The rows below the top are their mirror
-    images, u[n-1-i, k] = (-1)^k u[i, k], and the middle row of an odd n is
-    zero in the odd sector.
+    top h rows (``_fold_sizes``) of the even and of the odd columns of u,
+    whose mirror images are the rows below; the middle row of an odd n is
+    zero in the odd sector. U is column-major on both solve paths, so each
+    sector has unit row stride and BLAS takes it as it is.
     """
     if not s.folded:
         return (u,)
-    h = u.shape[0] - u.shape[0] // 2
+    h = _fold_sizes(u.shape[0])[1]
     return u[:h, 0::2], u[:h, 1::2]
 
 
@@ -355,18 +379,17 @@ def _dyad_blocks(s: Spectrum, u: np.ndarray, weights: np.ndarray):
 
     u holds the first modes of s. For an unfolded spectrum the blocks cover
     all n rows, each formed as ``_dyad_rows`` forms it. A folded spectrum's
-    G is centrosymmetric: only its top h = n - n//2 rows are yielded, and
-    G[n-1-i] = G[i, ::-1] gives the others. Each top row is written from the
-    half-size products Y_e and Y_o of the even and odd sectors (``_sectors``,
-    views of u): G[i, j] = Y_e + Y_o for j < h and G[i, n-1-j] = Y_e - Y_o
-    for j < n//2, a quarter of the whole product.
+    G is centrosymmetric: only its top h rows (``_fold_sizes``) are yielded,
+    and G[n-1-i] = G[i, ::-1] gives the others. Each is written from the
+    products Y_e and Y_o of the sectors (``_sectors``): G[i, j] = Y_e + Y_o
+    for j < h and G[i, n-1-j] = Y_e - Y_o for j < m, a quarter of the work.
     """
     n = u.shape[0]
     if not s.folded:
         for rows in _row_blocks(n):
             yield rows, _dyad_rows(u, weights, rows)
         return
-    m, h = n // 2, n - n // 2
+    m, h = _fold_sizes(n)
     even, odd = _sectors(s, u)
     for rows in _row_blocks(h):
         y_e = _dyad_rows(even, weights[0::2], rows)
@@ -380,12 +403,11 @@ def _dyad_blocks(s: Spectrum, u: np.ndarray, weights: np.ndarray):
 def _dyad_defect(s: Spectrum, weights: np.ndarray, bands: HamiltonianMatrix) -> float:
     """max|sum_n weights_n u_n u_n^T - B| over all modes of s, for a tridiagonal B.
 
-    The dyad sum is formed in row blocks (``_dyad_blocks``) and B is
-    subtracted through its bands. Of a folded spectrum only the top rows of
-    the sum are formed; the others are their mirror images, so their defect
-    is that of the top rows against J B J, whose bands are B's reversed.
-    That mirror pass runs only when B's bands are not palindromic: else
-    J B J is B, and it would find the maximum the direct pass finds.
+    The dyad sum is formed in row blocks (``_dyad_blocks``), B subtracted
+    through its bands. Of a folded spectrum only the top rows are formed;
+    the defect of their mirror images is that of the top rows against
+    J B J, whose bands are B's reversed. That pass is skipped for a
+    palindromic B, where J B J is B.
     """
     if not s.is_full:
         raise TruncatedSpectrumError(f"a dyad-sum defect needs all {s.grid.n} modes, got {s.n_modes}")
@@ -406,16 +428,14 @@ def check_orthonormality(s: Spectrum, rank: int) -> float:
     The quadrature Gram h * phi^T phi of the samples is U^T U, taken here
     from the modes directly, one row block at a time. The even and odd modes
     of a folded spectrum are orthogonal exactly, term by mirrored term, so
-    only the two half-size Gram matrices of its sectors are formed.
+    only the Gram matrices of its sectors are formed, on rows weighted by
+    ``_top_weights``.
     """
     if not (1 <= rank <= s.n_modes):
         raise ValueError(f"rank must be in 1..{s.n_modes}, got {rank}")
-    n, worst = s.grid.n, 0.0
+    worst, weights = 0.0, _top_weights(s.grid.n)[:, np.newaxis]
     for sector in _sectors(s, s.modes[:, :rank]):
-        weighted = sector
-        if s.folded:  # a top row counts for its mirror too; the middle row of an odd n once
-            weighted = sector * 2.0
-            weighted[n // 2 :] = sector[n // 2 :]
+        weighted = sector * weights if s.folded else sector
         for rows in _row_blocks(sector.shape[1]):
             worst = max(worst, _identity_defect(sector[:, rows].T @ weighted, rows.start))
     return worst

@@ -35,11 +35,13 @@ from .schrodinger import (
     HamiltonianMatrix,
     Spectrum,
     _dyad_defect,
+    _fold_sizes,
     _identity_defect,
     _max_abs,
     _row_blocks,
     _rows_equal,
     _sectors,
+    _top_weights,
     assemble,
     check_completeness,
     check_orthonormality,
@@ -162,14 +164,13 @@ def _hermitian(a: np.ndarray) -> bool:
 def _centrosymmetric(a: np.ndarray) -> bool:
     """Whether A[::-1, ::-1] == A exactly, that is, A commutes with the reflection J.
 
-    Row i is compared with row n-1-i reversed, one top row block at a time,
-    stopping at the first block with an unequal entry. Derived on each call:
-    a built complex grading of a folded spectrum passes by construction; a
-    real one is one whole GEMM, which rounds mirrored entries alike at some
-    n and not at others, and either verdict is sound.
+    Each top row (``_fold_sizes``) is compared with its mirror reversed, one
+    row block at a time, up to the first unequal block. Derived on each
+    call: a complex grading of a folded spectrum passes by construction; a
+    real one is one whole GEMM, which may round mirrored entries apart.
     """
     n = a.shape[0]
-    return _rows_equal(n - n // 2, lambda r: a[n - r.stop : n - r.start][::-1, ::-1], lambda r: a[r])
+    return _rows_equal(_fold_sizes(n)[1], lambda r: a[n - r.stop : n - r.start][::-1, ::-1], lambda r: a[r])
 
 
 def _lanczos_norm(embedded, n: int) -> float:
@@ -219,27 +220,40 @@ def _lanczos_gap(a: np.ndarray) -> float:
 _PACK_ROWS = 32  # rows of a fold block formed at a time while its panels are written
 
 
-def _fold(a: np.ndarray, rows: slice, cols: slice, even: bool) -> np.ndarray:
-    """Entries [rows, cols] of the even (B_e) or odd (B_o) fold block of a centrosymmetric A.
+def _fold_columns(block: np.ndarray, cols: slice, even: bool, middle: float, out=None) -> np.ndarray:
+    """Columns ``cols`` of the even or odd column fold of ``block``, rows of an n-column A,
+    written into ``out`` or a new array: column j < m (``_fold_sizes``) is A[:, j] +- A[:, n-1-j],
+    and column m of an odd n's even fold is ``middle`` * A[:, m]."""
+    n = block.shape[1]
+    m, _ = _fold_sizes(n)
+    j0, j1 = cols.start, cols.stop
+    left = min(j1, m)  # the columns before the middle
+    if out is None:
+        out = np.empty((block.shape[0], j1 - j0), block.dtype)
+    if left > j0:
+        fold = np.add if even else np.subtract
+        fold(block[:, j0:left], block[:, n - left : n - j0][:, ::-1], out=out[:, : left - j0])
+    if j1 > m:
+        np.multiply(block[:, m], middle, out=out[:, m - j0])
+    return out
 
-    With m = n//2, B[i, j] = A[i, j] +- A[n-1-i, j] for i, j < m, which is
-    A[i, j] +- A[i, n-1-j] since A[n-1-i, j] == A[i, n-1-j]: the mirrored
-    rows are read forward. For an odd n, B_e's middle row and column are
-    sqrt(2) A[m, j] and sqrt(2) A[i, m], and B_e[m, m] = A[m, m].
+
+def _fold(a: np.ndarray, rows: slice, cols: slice, even: bool) -> np.ndarray:
+    """Entries [rows, cols] of the even (B_e) or odd (B_o) block of F^T A F (``fold_bands``).
+
+    For i, j < m, B[i, j] = A[i, j] +- A[n-1-i, j], read as its bitwise equal
+    A[i, n-1-j] only because A has passed ``_centrosymmetric``: B's top rows
+    are the column fold of A's (``_fold_columns``), the middle column scaled
+    by sqrt(2). For an odd n, B_e[m, j] = sqrt(2) A[m, j], B_e[m, m] = A[m, m].
     """
-    n = a.shape[0]
-    m = n // 2
+    m, _ = _fold_sizes(a.shape[0])
     i0, i1, j0, j1 = rows.start, rows.stop, cols.start, cols.stop
     top, left = min(i1, m), min(j1, m)  # the rows and columns before the middle
     b = np.empty((i1 - i0, j1 - j0), a.dtype)
-    if top > i0 and left > j0:
-        fold = np.add if even else np.subtract
-        fold(a[i0:top, j0:left], a[n - top : n - i0, j0:left][::-1], out=b[: top - i0, : left - j0])
+    _fold_columns(a[i0:top], cols, even, math.sqrt(2.0), out=b[: top - i0])
     if i1 > m:
         np.multiply(a[m, j0:left], math.sqrt(2.0), out=b[m - i0, : left - j0])
-    if j1 > m:
-        np.multiply(a[i0:top, m], math.sqrt(2.0), out=b[: top - i0, m - j0])
-        if i1 > m:
+        if j1 > m:
             b[m - i0, m - j0] = a[m, m]
     return b
 
@@ -250,11 +264,10 @@ def _difference_panels(a: np.ndarray, size: int, even: bool) -> list:
     For each row block p of 0..size-1 (``_row_blocks``) the panel holds
     H[p.start:, p], the columns p from their diagonal block down, stored
     transposed: P[t, u] = H[p.start + u, p.start + t]. The panels lie one
-    after the other in one buffer, about 0.56 size^2 entries. With
-    D = B[k, j] - conj(B[j, k]), H[k, j] = D/i = Im D - i Re D is written
-    from B's entries [j, k] and [k, j] alone, so an exactly Hermitian
-    block gives exact zeros. Each panel is written ``_PACK_ROWS`` rows at
-    a time, from B's rows and columns at those rows.
+    after the other in one buffer, about 0.56 size^2 entries. H[k, j] =
+    (B[k, j] - conj(B[j, k]))/i is written from those two entries alone, so
+    an exactly Hermitian block gives exact zeros, ``_PACK_ROWS`` rows of B
+    and columns of B at a time.
     """
     blocks = list(_row_blocks(size))
     buf = np.empty(sum((p.stop - p.start) * (size - p.start) for p in blocks), complex)
@@ -281,14 +294,8 @@ def _panels_norm(panels: list, n: int) -> float:
     the rows below them take z[p] P[:, len(p):]. Its real embedding
     [[R, -M], [M, R]] maps (x, y) to (Re H z, Im H z), and one Lanczos run
     gives its largest eigenvalue in magnitude. An all-zero H gives 0.0
-    without Lanczos.
-
-    The products are numpy's, on the BLAS that builds and checks the
-    gradings. A packed ``zhpmv`` from ``scipy.linalg.blas`` reads less per
-    step, but scipy's wheels bundle their own OpenBLAS, and its threads and
-    numpy's, which spin for a while after each call, then share the cores:
-    on a 2-core host, the first block's Lanczos run, right after the
-    build's GEMMs, took about four times as long as the second block's.
+    without Lanczos. The products are numpy's, on the BLAS that builds the
+    gradings; README's "Numerical notes" say why not scipy's packed ``zhpmv``.
     """
     if not any(panel.any() for _, panel in panels):
         return 0.0
@@ -311,30 +318,19 @@ def spectral_hermiticity_gap(k: OperatorKernel) -> float:
 
     The norm comes from ``_lanczos_gap`` on A itself, or, when A is its own
     mirror image (``_centrosymmetric``, checked entry by entry), from two
-    half-size blocks. With m = n//2 and h = n - m, the orthogonal fold F
-    whose columns are (e_j +- e_{n-1-j})/sqrt(2) for j < m, and e_m for an
-    odd n, gives F^T A F = diag(B_e, B_o), formed from A's top rows
-    (``_fold``):
-
-        B_e[i, j] = A[i, j] + A[i, n-1-j],   B_o[i, j] = A[i, j] - A[i, n-1-j]
-
-    for i, j < m, and for an odd n B_e[i, m] = sqrt(2) A[i, m],
-    B_e[m, j] = sqrt(2) A[m, j] and B_e[m, m] = A[m, m]. F is real, so
-    F^T (A - A^dagger) F = diag(B_e - B_e^dagger, B_o - B_o^dagger), and
-    the norm is the larger of the two block norms. Each block's Hermitian
-    (B - B^dagger)/i is held as its lower triangle in eight column panels
-    (``_difference_panels``), about 0.56 h^2 entries instead of h^2, one
-    block after the other, and its norm is one Lanczos run through two
-    matrix-vector products per panel (``_panels_norm``). An exactly
-    Hermitian block gives 0.0. So does an exactly Hermitian A: if A is also
-    centrosymmetric, conj(B_e[j, i]) = A[i, j] + A[n-1-i, j] = B_e[i, j]
-    exactly, and likewise for B_o and the sqrt(2)-scaled middle entries.
+    half-size blocks: the fold F of ``fold_bands`` is real and orthogonal,
+    and F^T A F = diag(B_e, B_o) (``_fold``), so the norm is the larger
+    block norm. Each block's (B - B^dagger)/i is held as its lower triangle
+    in panels (``_difference_panels``), one block after the other, for one
+    Lanczos run (``_panels_norm``). An exactly Hermitian block gives 0.0,
+    and every block of an exactly Hermitian centrosymmetric A is one:
+    conj(B_e[j, i]) = A[i, j] + A[n-1-i, j] = B_e[i, j], and likewise for
+    B_o and the sqrt(2)-scaled middle entries.
     """
     a = k.action
     if not _centrosymmetric(a):
         return _lanczos_gap(a)
-    n = k.n
-    m, h = n // 2, n - n // 2
+    m, h = _fold_sizes(k.n)
     gap = _panels_norm(_difference_panels(a, h, True), h)
     return max(gap, _panels_norm(_difference_panels(a, m, False), m))
 
@@ -351,9 +347,8 @@ def check_commutator(k: OperatorKernel, hm: HamiltonianMatrix) -> float:
 
     When T's bands are palindromic (``hm.palindromic``) and A is its own
     mirror image (``_centrosymmetric``), both commute with the reflection J,
-    so C = A T - T A does too: C[n-1-i, n-1-j] = C[i, j]. Only the top
-    n - n//2 rows of C are then formed. Both properties are checked on the
-    stored bands and entries, exactly; otherwise every row is formed.
+    so C = A T - T A does too, and only its top rows (``_fold_sizes``) are
+    formed. Both properties are checked exactly; otherwise every row is.
     """
     require_same_grid(k.grid, hm.grid)
     a, n = k.action, k.n
@@ -372,7 +367,7 @@ def check_commutator(k: OperatorKernel, hm: HamiltonianMatrix) -> float:
             total += squared(part, rows)
         return float(total.max())
 
-    top = n - n // 2 if hm.palindromic and _centrosymmetric(a) else n
+    top = _fold_sizes(n)[1] if hm.palindromic and _centrosymmetric(a) else n
     return math.sqrt(max(peak(rows) for rows in _row_blocks(top))) / unit / hm.norm_max
 
 
@@ -389,19 +384,16 @@ def check_order(k: OperatorKernel, m: int) -> float:
 
     A complex A is streamed: rows b of A^m are formed as (A[b] A) ... A,
     so one row block of the product is live instead of A^(m-1) and A^m.
-    The blocks hold ceil(n/8) rows, or, for a centrosymmetric A
-    (``_centrosymmetric``), ceil((n - n//2)/8), the height its other checks
-    use for it, which halves the live products. The complex GEMMs of the
-    harmonic triparity give each row the same bits under either height
-    (tested at n = 199, 200, 399 and 400), so its residual keeps its bits.
-    A real A keeps the whole product: a real GEMM cut into row blocks may
+    The blocks hold ceil(n/8) rows, or ceil(h/8) (``_fold_sizes``) for a
+    centrosymmetric A, as its other checks do, which halves the live
+    products. The complex GEMMs of the harmonic triparity give each row the
+    same bits under either height (tested at n = 199, 200, 399 and 400). A
+    real A keeps the whole product: a real GEMM cut into row blocks may
     round differently from the whole one, and the real residuals stay
-    bitwise those of the dense formula.
-
-    Every row of the power is formed, also for a centrosymmetric A, whose
-    power is centrosymmetric too: the residuals of the harmonic triparity
-    are pinned equal (==) to the dense formula over all rows, and a
-    top-rows maximum can miss the largest bottom-row rounding.
+    bitwise those of the dense formula. Every row of the power is formed,
+    also for a centrosymmetric A: its residual is pinned equal (==) to the
+    dense formula over all rows, and a top-rows maximum can miss the
+    largest bottom-row rounding.
     """
     if m < 2:
         raise ValueError(f"order must be at least 2, got {m}")
@@ -416,7 +408,7 @@ def check_order(k: OperatorKernel, m: int) -> float:
 
     if not np.iscomplexobj(a):
         return _identity_defect(power(slice(None)))
-    span = k.n - k.n // 2 if _centrosymmetric(a) else k.n
+    span = _fold_sizes(k.n)[1] if _centrosymmetric(a) else k.n
     return max(_identity_defect(power(rows), rows.start) for rows in _row_blocks(k.n, span))
 
 
@@ -445,16 +437,13 @@ def check_alternation(k: OperatorKernel, s: Spectrum, w: GradingWeights | None =
     and Im A are small strided copies; a column block of U would need the
     whole of Re A copied for every block.
 
-    A folded spectrum's modes are exact mirrors, u_k[n-1-j] = (-1)^k u_k[j],
-    so A U is formed from its two parity sectors (``_sectors``, views of
-    the column-major U, taken one after the other): each row block of A is
-    folded by columns, A[:, j] + A[:, n-1-j] (the middle column of an odd n
-    once) against the even sector and A[:, j] - A[:, n-1-j] against the odd
-    one. That reads every entry of A, assumes nothing about it, and halves
-    the flops. When A is also its own mirror image
-    (``_centrosymmetric``), R[n-1-i] = (-1)^k R[i], so only the top
-    n - n//2 rows are formed, each counted twice but the middle row of an
-    odd n. An unfolded spectrum is one sector with the identity fold.
+    A folded spectrum's modes are exact mirrors, so A U is formed from its
+    two parity sectors (``_sectors``), one after the other: each row block
+    of A is folded by columns (``_fold_columns``), even against the even
+    sector and odd against the odd one. That reads every entry of A,
+    assumes nothing about it, and halves the flops. When A is also its own
+    mirror image (``_centrosymmetric``), R[n-1-i] = (-1)^k R[i], so only
+    the top rows are formed, weighted by ``_top_weights``.
     """
     require_same_grid(k.grid, s.grid)
     if w is None:
@@ -466,33 +455,23 @@ def check_alternation(k: OperatorKernel, s: Spectrum, w: GradingWeights | None =
     if np.iscomplexobj(a) or np.iscomplexobj(wv):
         parts.append((a.imag if np.iscomplexobj(a) else None, wv.imag))
     n = s.grid.n
-    m, h = n // 2, n - n // 2
-
-    def identity(block: np.ndarray) -> np.ndarray:
-        return block
-
-    def even(block: np.ndarray) -> np.ndarray:
-        folded = block[:, :h].copy()
-        folded[:, :m] += block[:, : h - 1 : -1]  # columns n-1 .. n-m
-        return folded
-
-    def odd(block: np.ndarray) -> np.ndarray:
-        return block[:, :m] - block[:, : h - 1 : -1]
-
-    folds = ((slice(0, None, 2), even), (slice(1, None, 2), odd)) if s.folded else ((slice(None), identity),)
+    m, h = _fold_sizes(n)
+    # (columns of U, even or odd fold or None, width): the odd fold drops the zero middle row
+    folds = ((slice(0, None, 2), True, h), (slice(1, None, 2), False, m)) if s.folded else ((slice(None), None, n),)
     top = h if s.folded and _centrosymmetric(a) else n
+    weights = _top_weights(n)[:, np.newaxis] if top < n else None
     squared = np.zeros(s.n_modes)
     # the columns of R in one sector depend on that sector alone, so each is taken in turn
-    for (cols, fold), sector in zip(folds, _sectors(s, u)):
+    for (cols, even, width), sector in zip(folds, _sectors(s, u)):
         for rows in _row_blocks(top):
-            for part, weights in parts:
-                r = u[rows, cols] * -weights[cols]
+            for part, w_part in parts:
+                r = u[rows, cols] * -w_part[cols]
                 if part is not None:
-                    lhs = fold(part[rows])
-                    r += lhs @ sector[: lhs.shape[1]]  # the odd fold drops the zero middle row
+                    lhs = part[rows] if even is None else _fold_columns(part[rows], slice(0, width), even, 1.0)
+                    r += lhs @ sector[:width]
                 r **= 2
-                if top < n:  # a top row stands for its mirror too; the middle row of an odd n once
-                    r[: max(min(rows.stop, m) - rows.start, 0)] *= 2.0
+                if weights is not None:
+                    r *= weights[rows]
                 squared[cols] += r.sum(axis=0)
     return float(np.sqrt(squared).max())
 
