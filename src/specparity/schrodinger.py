@@ -21,8 +21,8 @@ from .errors import (
 from .grids import Grid
 from .potentials import Potential, evaluate
 
-# Gaps at or below DEGENERACY_RTOL * max|E| are treated as numerically
-# degenerate. In exact arithmetic a Jacobi matrix cannot have them, but the
+# A gap at or below DEGENERACY_RTOL times the larger |E| of its two ends
+# (at least eps * ||T||_max) is treated as numerically degenerate. In exact arithmetic a Jacobi matrix cannot have them, but the
 # band-top modes of a reflection-symmetric Hamiltonian pair up with
 # splittings far below machine precision; solve() takes such a Hamiltonian
 # apart into its two parity blocks, so the members of a pair never meet.
@@ -30,7 +30,6 @@ DEGENERACY_RTOL = 1e-10
 _GRAM_CHECK_RANK = 16
 _GRAM_TOL = 1e-11
 _SIGN_RTOL = 1e-8
-_NODE_RTOL = 1e-9
 # Streamed checks split their n x n work into this many row blocks.
 _ROW_BLOCKS = 8
 
@@ -297,16 +296,23 @@ def _solve_folded(hm: HamiltonianMatrix):
     return alternating, modes
 
 
-def _check_simple(energies: np.ndarray) -> None:
-    """Raise DegenerateSpectrumError on a gap at or below the degeneracy guard."""
+def _check_simple(energies: np.ndarray, norm_max: float) -> None:
+    """Raise DegenerateSpectrumError on a gap at or below its degeneracy guard.
+
+    Gap k's guard is DEGENERACY_RTOL * max(|E_k|, |E_k+1|, eps ||T||_max): the
+    scale of its own two eigenvalues, to which MRRR's accuracy is relative
+    (Dhillon & Parlett, Linear Algebra Appl. 387 (2004) 1-28), not the
+    largest |E|, which V at the walls sets.
+    """
     gaps = np.diff(energies)
-    guard = DEGENERACY_RTOL * np.abs(energies).max()
+    scale = np.maximum(np.abs(energies[:-1]), np.abs(energies[1:]))
+    guard = DEGENERACY_RTOL * np.maximum(scale, np.finfo(float).eps * norm_max)
     close = np.flatnonzero(gaps <= guard)
     if close.size:
         k = int(close[0])
         raise DegenerateSpectrumError(
             f"{close.size} near-degenerate gap(s) (first between modes {k} and {k + 1}, "
-            f"gap {gaps[k]:.3e} <= guard {guard:.3e}) and the Hamiltonian has no "
+            f"gap {gaps[k]:.3e} <= guard {guard[k]:.3e}) and the Hamiltonian has no "
             f"exact reflection symmetry to resolve them"
         )
 
@@ -343,7 +349,7 @@ def solve(hm: HamiltonianMatrix) -> Spectrum:
         energies, modes = _solve_folded(hm)
     else:
         energies, modes = _eigh_tridiagonal(hm.diag, hm.offdiag)
-        _check_simple(energies)
+        _check_simple(energies, hm.norm_max)
     _fix_signs(modes)
     for arr in (energies, modes):
         arr.flags.writeable = False
@@ -456,9 +462,12 @@ def check_completeness(s: Spectrum) -> float:
 
 
 def count_nodes(s: Spectrum, k: int) -> int:
-    """Strict sign changes of mode k, ignoring entries below 1e-9 * max|u_k|."""
+    """Sign changes of mode k between its nonzero entries, however small.
+
+    The signs are read, not products, which could underflow to zero.
+    """
     if not (0 <= k < s.n_modes):
         raise IndexError(f"mode index {k} out of range 0..{s.n_modes - 1}")
     u = s.modes[:, k]
-    sig = u[np.abs(u) > _NODE_RTOL * np.abs(u).max()]
-    return int(np.sum(sig[:-1] * sig[1:] < 0))
+    negative = np.signbit(u[u != 0])
+    return int(np.count_nonzero(negative[:-1] != negative[1:]))

@@ -572,6 +572,33 @@ def test_a_grid_too_coarse_for_the_clamped_gaussian_ends_in_a_verdict(tmp_path, 
     assert gaussian["pass"]
 
 
+@pytest.mark.parametrize("case", [
+    ["--potential", "harmonic", "--n", 50],
+    ["--poly=0,1e-3,-20,0,1", "--n", 399],
+    ["--poly=0,1e-3,-20,0,1", "--n", 999],
+], ids=["harmonic-50", "tilted-well-399", "tilted-well-999"])
+def test_the_node_audit_counts_the_nodes_where_a_mode_is_tiny(tmp_path, case):
+    # mode 1 of the tilted well x^4 - 20x^2 + 1e-3 x changes sign at x = -1.95,
+    # where |u| / max|u| is 3.1e-17; a cut at 1e-9 * max|u| read 3 and 16 missing nodes
+    assert run_cli(["verify", *case, "--xmin=-8", "--xmax=8", "--out", tmp_path]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    (nodes,) = [c for c in doc["checks"] if c["name"] == "node_count"]
+    assert nodes["residual"] == 0.0
+
+
+@pytest.mark.parametrize("case", [
+    ["--poly=0,0,0,0,0,0,0,0,1", "--xmin=-40", "--xmax=35", "--n=200"],
+    ["--poly=0,0,0,1,0,0,0,0,1", "--xmin=-50", "--xmax=50", "--n=999"],
+], ids=["x8", "x8+x3"])
+def test_a_wide_domain_does_not_make_the_low_gaps_degenerate(tmp_path, capsys, case):
+    # 40^8 = 6.6e12 on T's diagonal once set the guard of every gap, so gaps
+    # of about 3.3 between the lowest modes exited 3 as near-degenerate
+    assert run_cli(["verify", *case, "--out", tmp_path]) in (0, 1)
+    assert "error:" not in capsys.readouterr().err
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert {c["name"] for c in doc["checks"] if not c["pass"]} <= {"node_count"}
+
+
 def test_verify_of_a_huge_t_has_finite_commutator_residuals(tmp_path):
     # ||T||_max = 5e303: the rounding-level entries of A T - T A square past the
     # double range unless they are scaled first

@@ -377,3 +377,55 @@ def test_solve_allocates_modes_plus_one_block(name):
         tracemalloc.stop()
     arrays = (peak - base) / (8.0 * n * n)
     assert arrays <= 1.4, f"solve allocated {arrays:.2f} n x n arrays"
+
+
+def _dense_fold(n):
+    """The orthogonal fold F, written entry by entry: the even columns (e_j + e_{n-1-j})/sqrt2
+    for j < n//2 and e_m for an odd n, then the odd columns (e_j - e_{n-1-j})/sqrt2."""
+    m, eye = n // 2, np.eye(n)
+    even = [(eye[j] + eye[n - 1 - j]) / np.sqrt(2.0) for j in range(m)] + [eye[m]] * (n % 2)
+    odd = [(eye[j] - eye[n - 1 - j]) / np.sqrt(2.0) for j in range(m)]
+    return np.array(even + odd).T
+
+
+@pytest.mark.parametrize("n", [4, 5, 199, 200])
+def test_fold_bands_of_a_palindromic_t_are_the_blocks_of_the_dense_fold(n):
+    rng = np.random.default_rng(n)
+    d, e = rng.uniform(-1e3, 1e3, n), rng.uniform(-1e3, -1.0, n - 1)
+    hm = schrodinger.HamiltonianMatrix(grid=sp.make_grid(-1, 1, n), diag=d + d[::-1], offdiag=e + e[::-1])
+    assert hm.palindromic
+    blocks = schrodinger.fold_bands(hm)
+    assert [(cols, sign) for _, _, cols, sign in blocks] == [(slice(0, None, 2), 1.0), (slice(1, None, 2), -1.0)]
+    assert [len(diag) for diag, _, _, _ in blocks] == [n - n // 2, n // 2]
+    direct_sum = scipy.linalg.block_diag(
+        *(np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1) for diag, offdiag, _, _ in blocks)
+    )
+    fold = _dense_fold(n)
+    dense = fold.T @ hm.to_dense() @ fold
+    assert np.abs(direct_sum - dense).max() <= 4 * np.finfo(float).eps * hm.norm_max
+
+
+def test_fold_bands_of_a_t_without_mirror_symmetry_are_its_own_bands():
+    hm = sp.assemble(sp.named("quartic_cubic"), sp.make_grid(-10, 10, 199))
+    ((diag, offdiag, cols, sign),) = schrodinger.fold_bands(hm)
+    assert diag is hm.diag and offdiag is hm.offdiag
+    assert cols == slice(None) and sign == 1.0
+
+
+def test_count_nodes_reads_signs_whose_product_underflows():
+    grid = sp.make_grid(-1, 1, 4)
+    modes = np.eye(4)
+    modes[:, 1] = [0.0, 1e-200, -1e-200, 0.0]  # 1e-200 * -1e-200 underflows to -0.0
+    s = sp.Spectrum(grid=grid, energies=np.arange(4.0), modes=modes)
+    assert sp.count_nodes(s, 1) == 1
+    assert sp.count_nodes(s, 0) == 0
+
+
+def test_the_degeneracy_guard_reads_each_gap_on_its_own_scale():
+    # a gap of 1e-9 at E = 1 is simple, whatever the largest |E| (1e12 here)
+    schrodinger._check_simple(np.array([1.0, 1.0 + 1e-9, 1e12]), 1e12)
+    with pytest.raises(sp.DegenerateSpectrumError, match="between modes 0 and 1"):
+        schrodinger._check_simple(np.array([1.0, 1.0 + 1e-11, 5.0]), 5.0)
+    # near E = 0 the guard does not fall below DEGENERACY_RTOL * eps * ||T||_max
+    with pytest.raises(sp.DegenerateSpectrumError, match="between modes 0 and 1"):
+        schrodinger._check_simple(np.array([-1e-30, 1e-30, 1.0]), 1.0)
