@@ -22,10 +22,11 @@ from .grids import Grid
 from .potentials import Potential, evaluate
 
 # A gap at or below DEGENERACY_RTOL times the larger |E| of its two ends
-# (at least eps * ||T||_max) is treated as numerically degenerate. In exact arithmetic a Jacobi matrix cannot have them, but the
-# band-top modes of a reflection-symmetric Hamiltonian pair up with
-# splittings far below machine precision; solve() takes such a Hamiltonian
-# apart into its two parity blocks, so the members of a pair never meet.
+# (at least eps * ||T||_max) is treated as numerically degenerate. In exact
+# arithmetic a Jacobi matrix cannot have one, but the band-top modes of a
+# reflection-symmetric Hamiltonian pair up with splittings far below machine
+# precision; solve() takes such a Hamiltonian apart into its two parity
+# blocks, so the members of a pair never meet.
 DEGENERACY_RTOL = 1e-10
 _GRAM_CHECK_RANK = 16
 _GRAM_TOL = 1e-11
