@@ -440,9 +440,11 @@ def check_orthonormality(s: Spectrum, rank: int) -> float:
     """
     if not (1 <= rank <= s.n_modes):
         raise ValueError(f"rank must be in 1..{s.n_modes}, got {rank}")
-    worst, weights = 0.0, _top_weights(s.grid.n)[:, np.newaxis]
+    worst = 0.0
     for sector in _sectors(s, s.modes[:, :rank]):
-        weighted = sector * weights if s.folded else sector
+        weighted = sector  # first, so the last sector's weighted copy is freed before the next is made
+        if s.folded:
+            weighted = sector * _top_weights(s.grid.n)[:, np.newaxis]
         for rows in _row_blocks(sector.shape[1]):
             worst = max(worst, _identity_defect(sector[:, rows].T @ weighted, rows.start))
     return worst

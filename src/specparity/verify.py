@@ -294,8 +294,7 @@ def _panels_norm(panels: list, n: int) -> float:
     the rows below them take z[p] P[:, len(p):]. Its real embedding
     [[R, -M], [M, R]] maps (x, y) to (Re H z, Im H z), and one Lanczos run
     gives its largest eigenvalue in magnitude. An all-zero H gives 0.0
-    without Lanczos. The products are numpy's, on the BLAS that builds the
-    gradings; README's "Numerical notes" say why not scipy's packed ``zhpmv``.
+    without Lanczos. README's "Numerical notes" say why not scipy's ``zhpmv``.
     """
     if not any(panel.any() for _, panel in panels):
         return 0.0
@@ -331,8 +330,7 @@ def spectral_hermiticity_gap(k: OperatorKernel) -> float:
     if not _centrosymmetric(a):
         return _lanczos_gap(a)
     m, h = _fold_sizes(k.n)
-    gap = _panels_norm(_difference_panels(a, h, True), h)
-    return max(gap, _panels_norm(_difference_panels(a, m, False), m))
+    return max(_panels_norm(_difference_panels(a, size, even), size) for size, even in ((h, True), (m, False)))
 
 
 def check_commutator(k: OperatorKernel, hm: HamiltonianMatrix) -> float:
@@ -440,10 +438,10 @@ def check_alternation(k: OperatorKernel, s: Spectrum, w: GradingWeights | None =
     A folded spectrum's modes are exact mirrors, so A U is formed from its
     two parity sectors (``_sectors``), one after the other: each row block
     of A is folded by columns (``_fold_columns``), even against the even
-    sector and odd against the odd one. That reads every entry of A,
-    assumes nothing about it, and halves the flops. When A is also its own
-    mirror image (``_centrosymmetric``), R[n-1-i] = (-1)^k R[i], so only
-    the top rows are formed, weighted by ``_top_weights``.
+    sector and odd, without the zero middle row, against the odd one. That
+    reads every entry of A, assumes nothing about it, and halves the flops.
+    When A is also its own mirror image (``_centrosymmetric``), R[n-1-i] =
+    (-1)^k R[i], so only the top rows are formed, weighted by ``_top_weights``.
     """
     require_same_grid(k.grid, s.grid)
     if w is None:
@@ -456,7 +454,6 @@ def check_alternation(k: OperatorKernel, s: Spectrum, w: GradingWeights | None =
         parts.append((a.imag if np.iscomplexobj(a) else None, wv.imag))
     n = s.grid.n
     m, h = _fold_sizes(n)
-    # (columns of U, even or odd fold or None, width): the odd fold drops the zero middle row
     folds = ((slice(0, None, 2), True, h), (slice(1, None, 2), False, m)) if s.folded else ((slice(None), None, n),)
     top = h if s.folded and _centrosymmetric(a) else n
     weights = _top_weights(n)[:, np.newaxis] if top < n else None
