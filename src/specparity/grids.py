@@ -1,4 +1,4 @@
-"""Uniform truncated spatial domain and its discrete inner product.
+"""Uniform truncated spatial domain.
 
 The line is truncated to [x_min, x_max] with homogeneous Dirichlet
 conditions; only the n interior points are stored, since the endpoint
@@ -81,20 +81,3 @@ def require_same_grid(a: Grid, b: Grid) -> None:
             f"grids differ: ({a.x_min}, {a.x_max}, n={a.n}) vs ({b.x_min}, {b.x_max}, n={b.n})"
         )
 
-
-def _as_samples(f, grid: Grid, name: str) -> np.ndarray:
-    arr = np.asarray(f)
-    if arr.shape != (grid.n,):
-        raise GridMismatchError(f"{name} has shape {arr.shape}, expected ({grid.n},)")
-    return arr
-
-
-def inner_product(f, g, grid: Grid) -> complex:
-    """Discrete <f, g> = h * sum_i conj(f_i) g_i.
-
-    This is the uniform-weight quadrature realization of the continuum
-    integral of f*(x) g(x) over the truncated domain.
-    """
-    fa = _as_samples(f, grid, "f")
-    ga = _as_samples(g, grid, "g")
-    return complex(grid.h * np.vdot(fa, ga))

@@ -2,9 +2,8 @@
 
 Every constructor here forms an action matrix A = sum_n w_n u_n u_n^T from
 unimodular weights w_n: the alternating weights (-1)^n give the parity
-operator, cube-root-of-unity weights give the triparity operator, and
-e^{-i E_n t} gives the unitary evolution operator. The energy-weighted sum
-reconstructs the Hamiltonian itself.
+operator, and cube-root-of-unity weights give the triparity operator. The
+energy-weighted sum reconstructs the Hamiltonian itself.
 
 Action matrices act on sample vectors; the corresponding continuum-style
 kernel is K(x_i, x_j) = A[i, j] / h, so that h-weighted quadrature over the
@@ -26,7 +25,7 @@ from .errors import (
     NonUnimodularWeightError,
     TruncatedSpectrumError,
 )
-from .grids import Grid, require_same_grid
+from .grids import Grid
 from .schrodinger import Spectrum, _dyad_blocks, _dyad_rows, _fold_sizes
 from .serial import fmt_rows
 
@@ -96,10 +95,6 @@ class GradingWeights:
         return self.values.size
 
     @classmethod
-    def identity(cls, m: int) -> "GradingWeights":
-        return cls(np.ones(m))
-
-    @classmethod
     def alternating(cls, m: int) -> "GradingWeights":
         """(-1)^n, the parity grading."""
         return cls((-1.0) ** np.arange(m))
@@ -114,11 +109,6 @@ class GradingWeights:
         if branch not in (+1, -1):
             raise NonUnimodularWeightError(f"branch must be +1 or -1, got {branch!r}")
         return cls(np.exp(1j * branch * (2.0 * np.pi / 3.0) * (np.arange(m) % 3)))
-
-    @classmethod
-    def evolution(cls, energies, t: float) -> "GradingWeights":
-        """e^{-i E_n t}, the spectral time-evolution grading."""
-        return cls(np.exp(-1j * np.asarray(energies) * float(t)))
 
 
 def _mode_block(s: Spectrum, truncate: int | None) -> np.ndarray:
@@ -214,31 +204,6 @@ def reflection_action(grid: Grid) -> OperatorKernel:
             "reflection maps grid points outside an asymmetric grid"
         )
     return OperatorKernel(grid=grid, action=np.eye(grid.n)[::-1].copy())
-
-
-def apply(k: OperatorKernel, f) -> np.ndarray:
-    """Action A f; realizes the h-weighted kernel quadrature on samples."""
-    vec = np.asarray(f)
-    if vec.shape != (k.n,):
-        raise GridMismatchError(f"vector has shape {vec.shape}, expected ({k.n},)")
-    return k.action @ vec
-
-
-def compose(a: OperatorKernel, b: OperatorKernel) -> OperatorKernel:
-    """Operator product (matrix product of actions)."""
-    require_same_grid(a.grid, b.grid)
-    return OperatorKernel(
-        grid=a.grid, action=a.action @ b.action, truncated=a.truncated or b.truncated
-    )
-
-
-def adjoint(k: OperatorKernel) -> OperatorKernel:
-    """Conjugate transpose of the action."""
-    return OperatorKernel(
-        grid=k.grid,
-        action=np.ascontiguousarray(k.action.conj().T),
-        truncated=k.truncated,
-    )
 
 
 @contextmanager

@@ -187,12 +187,6 @@ class Spectrum:
             )
 
     @property
-    def phi(self) -> np.ndarray:
-        """Quadrature-normalized samples u_n / sqrt(h), the discrete version
-        of unit-normalized eigenfunctions; a new n x n array on each read."""
-        return self.modes / np.sqrt(self.grid.h)
-
-    @property
     def n_modes(self) -> int:
         return self.modes.shape[1]
 

@@ -554,6 +554,24 @@ def _gaussian_state(grid: Grid) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
+def _node_warning(s: Spectrum, failing: list, audited: int) -> str:
+    """Which audited modes have the wrong node count, and whether the first is a lattice state.
+
+    4/h^2 bounds the spectrum of the discrete kinetic term; a mode at or above
+    it oscillates on the scale of the grid, so its nodes are not the
+    continuum's.
+    """
+    k = failing[0]
+    energy, limit = s.energies[k], 4.0 / (s.grid.h * s.grid.h)
+    lattice = energy >= limit
+    return (
+        f"node_count: {len(failing)} of the {audited} audited modes have the wrong number of "
+        f"nodes, the first k={k}, whose E_k = {energy:.6g} is {'at or above' if lattice else 'below'} "
+        f"4/h^2 = {limit:.6g}{' (a lattice state)' if lattice else ''}; "
+        f"use a finer grid or a narrower domain"
+    )
+
+
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -621,9 +639,12 @@ def run_suite(
             check("conservation_gaussian", lambda: check_conservation(op, s, _gaussian_state(grid), times))
         del op  # dropped before the next grading is built
 
+    node_defects = []  # |count_nodes(s, k) - k| for each audited k
+
     def node_audit() -> float:
         top = min(NODE_AUDIT_MAX, s.n_modes - 1)
-        return float(max(abs(count_nodes(s, k) - k) for k in range(top + 1)))
+        node_defects.extend(abs(count_nodes(s, k) - k) for k in range(top + 1))
+        return float(max(node_defects))
 
     check("orthonormality", check_orthonormality, s, s.n_modes)
     check("completeness", check_completeness, s)
@@ -639,6 +660,9 @@ def run_suite(
             f"{GAP_WARNING_ABS:g}; parity assignment in degenerate pairs relies on "
             f"the exact reflection symmetry of the discrete Hamiltonian"
         )
+    failing = [k for k, defect in enumerate(node_defects) if defect > tol["node_count"]]
+    if failing:
+        warnings.append(_node_warning(s, failing, len(node_defects)))
 
     return VerificationReport(
         potential=v.describe(),

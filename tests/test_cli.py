@@ -586,17 +586,24 @@ def test_the_node_audit_counts_the_nodes_where_a_mode_is_tiny(tmp_path, case):
     assert nodes["residual"] == 0.0
 
 
-@pytest.mark.parametrize("case", [
-    ["--poly=0,0,0,0,0,0,0,0,1", "--xmin=-40", "--xmax=35", "--n=200"],
-    ["--poly=0,0,0,1,0,0,0,0,1", "--xmin=-50", "--xmax=50", "--n=999"],
+@pytest.mark.parametrize("case, failing, first", [
+    (["--poly=0,0,0,0,0,0,0,0,1", "--xmin=-40", "--xmax=35", "--n=200"], 40, 11),
+    (["--poly=0,0,0,1,0,0,0,0,1", "--xmin=-50", "--xmax=50", "--n=999"], 10, 41),
 ], ids=["x8", "x8+x3"])
-def test_a_wide_domain_does_not_make_the_low_gaps_degenerate(tmp_path, capsys, case):
+def test_a_wide_domain_does_not_make_the_low_gaps_degenerate(tmp_path, capsys, case, failing, first):
     # 40^8 = 6.6e12 on T's diagonal once set the guard of every gap, so gaps
     # of about 3.3 between the lowest modes exited 3 as near-degenerate
     assert run_cli(["verify", *case, "--out", tmp_path]) in (0, 1)
     assert "error:" not in capsys.readouterr().err
     doc = json.loads((tmp_path / "report.json").read_text())
     assert {c["name"] for c in doc["checks"] if not c["pass"]} <= {"node_count"}
+    # the modes whose node count is off lie above the grid's kinetic range 4/h^2
+    h = doc["grid"]["h"]
+    (warning,) = [w for w in doc["warnings"] if w.startswith("node_count:")]
+    assert f"{failing} of the 51 audited modes" in warning
+    assert f"the first k={first}, " in warning
+    assert f"4/h^2 = {4.0 / (h * h):.6g} (a lattice state)" in warning
+    assert "a finer grid or a narrower domain" in warning
 
 
 def test_verify_of_a_huge_t_has_finite_commutator_residuals(tmp_path):

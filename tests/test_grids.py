@@ -87,51 +87,10 @@ def test_grid_points_are_read_only():
         g.points[0] = 0.0
 
 
-def test_inner_product_constant_vector():
-    g = sp.make_grid(0, 1, 3)
-    f = np.ones(3)
-    assert sp.inner_product(f, f, g) == pytest.approx(0.75, abs=1e-15)
-
-
-def test_inner_product_orthonormal_eigenpair(harmonic_199):
-    s = harmonic_199
-    assert abs(sp.inner_product(s.phi[:, 0], s.phi[:, 1], s.grid)) <= 1e-12
-    assert abs(sp.inner_product(s.phi[:, 0], s.phi[:, 0], s.grid) - 1) <= 1e-12
-
-
-def test_inner_product_conjugate_symmetry():
-    g = sp.make_grid(-2, 3, 40)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        f = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        h = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        a = sp.inner_product(f, h, g)
-        b = sp.inner_product(h, f, g)
-        assert abs(a - np.conj(b)) <= 1e-15 * max(1.0, abs(a))
-
-
-def test_inner_product_positive(harmonic_199):
-    g = sp.make_grid(-2, 3, 40)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        f = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        v = sp.inner_product(f, f, g)
-        assert v.real >= 0
-        assert abs(v.imag) <= 1e-15 * v.real
-
-
-def test_inner_product_length_mismatch():
-    g = sp.make_grid(0, 1, 3)
-    with pytest.raises(sp.GridMismatchError):
-        sp.inner_product(np.ones(4), np.ones(3), g)
-    with pytest.raises(sp.GridMismatchError):
-        sp.inner_product(np.ones(3), np.ones(2), g)
-
-
 def test_reflection_reverses_samples():
     g = sp.make_grid(-1, 1, 3)
     j = sp.reflection_action(g)
-    out = sp.apply(j, np.array([1.0, 2.0, 3.0]))
+    out = j.action @ np.array([1.0, 2.0, 3.0])
     assert np.array_equal(out, [3.0, 2.0, 1.0])
 
 
@@ -139,7 +98,7 @@ def test_reflection_is_an_exact_involution():
     for n in (2, 3, 8, 101):
         g = sp.make_grid(-4, 4, n)
         j = sp.reflection_action(g)
-        assert np.array_equal(sp.compose(j, j).action, np.eye(n))
+        assert np.array_equal(j.action @ j.action, np.eye(n))
 
 
 def test_reflection_requires_symmetric_grid():

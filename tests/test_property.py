@@ -8,6 +8,7 @@ can hold, where an input error (exit 2) leaves no output directory.
 """
 import contextlib
 import io
+import json
 import operator
 
 from hypothesis import HealthCheck, given, settings
@@ -67,7 +68,13 @@ def _assert_documented(code, err, passing=(0, 1)):
 @given(args=verify_args())
 def test_verify_ends_in_a_documented_exit(tmp_path_factory, args):
     out = tmp_path_factory.getbasetemp() / "property"
-    _assert_documented(*_run([*args, f"--out={out}"]))
+    code, err = _run([*args, f"--out={out}"])
+    _assert_documented(code, err)
+    if code == 1:  # a named check failed; a failing node audit says where
+        doc = json.loads((out / "report.json").read_text())
+        (nodes,) = [c for c in doc["checks"] if c["name"] == "node_count"]
+        warned = [w for w in doc.get("warnings", ()) if w.startswith("node_count:")]
+        assert len(warned) == (0 if nodes["pass"] else 1), (args, warned)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ def qc_suite(qc_199):
 
 def test_hermiticity_examples(qc_199):
     parity = sp.build_parity(qc_199)
-    assert sp.check_hermiticity(parity) <= 1e-11
+    assert sp.check_hermiticity(parity) <= 1e-12
     q = sp.build_triparity(qc_199)
     assert sp.check_hermiticity(q) > 0.1  # entrywise defect is macroscopic
     assert sp.spectral_hermiticity_gap(q) == pytest.approx(np.sqrt(3.0), abs=1e-10)
@@ -138,7 +139,7 @@ def test_alternation_examples(qc_199):
     w = sp.GradingWeights.cube_roots(199)
     assert sp.check_alternation(q, qc_199, w) <= 1e-10
     # wrong grading: odd modes violated with 2-norm residual 2
-    wrong = sp.check_alternation(parity, qc_199, sp.GradingWeights.identity(199))
+    wrong = sp.check_alternation(parity, qc_199, sp.GradingWeights(np.ones(199)))
     assert wrong == pytest.approx(2.0, abs=1e-10)
 
 
@@ -276,7 +277,7 @@ def test_conservation_of_non_conserved_operators_matches_loop_oracle(qc_199):
 
 
 def test_conservation_trivial_grading_norm(qc_199):
-    ident = sp.build_graded(qc_199, sp.GradingWeights.identity(199))
+    ident = sp.build_graded(qc_199, sp.GradingWeights(np.ones(199)))
     rng = np.random.default_rng(13)
     psi = rng.standard_normal(199) + 1j * rng.standard_normal(199)
     psi = psi / np.linalg.norm(psi)
@@ -334,6 +335,29 @@ def test_corrupted_eigenvector_fails_the_suite(qc_199):
     assert not report.passed
     # the original spectrum is untouched
     assert sp.check_involution(sp.build_parity(qc_199)) <= 1e-10
+
+
+@pytest.mark.parametrize("fixture, name, pair, defect", [
+    ("qc_199", "quartic_cubic", (0, 1), 1),
+    ("qc_199", "quartic_cubic", (0, 2), 4),
+    ("harmonic_199", "harmonic", (0, 1), 1),
+    ("harmonic_199", "harmonic", (0, 2), 2),
+], ids=["qc-u0-u1", "qc-u0-u2", "harmonic-u0-u1", "harmonic-u0-u2"])
+def test_a_rotation_of_two_modes_fails_the_node_audit(request, fixture, name, pair, defect):
+    # u0 -> cos(0.1) u0 - sin(0.1) uj keeps the basis orthonormal but adds
+    # nodes to u0. In the opposite sense the harmonic u0 is, up to a positive
+    # factor, (cos 0.1 + sin 0.1 (2x^2 - 1) / sqrt 2) e^(-x^2 / 2), which has
+    # no node, and the audit reads 0.
+    s = request.getfixturevalue(fixture)
+    c, sn = np.cos(0.1), np.sin(0.1)
+    modes = s.modes.copy()
+    modes[:, pair] = s.modes[:, pair] @ np.array([[c, sn], [-sn, c]])
+    rotated = dataclasses.replace(s, modes=modes, folded=False)
+    report = sp.run_suite(sp.named(name), s.grid, spectrum=rotated)
+    (nodes,) = [r for r in report.checks if r.name == "node_count"]
+    assert nodes.residual == defect
+    assert not nodes.passed
+    assert len([w for w in report.warnings if w.startswith("node_count:")]) == 1
 
 
 def test_corrupted_folded_spectrum_fails_the_suite(harmonic_199, qc_199):
