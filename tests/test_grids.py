@@ -87,6 +87,15 @@ def test_grid_points_are_read_only():
         g.points[0] = 0.0
 
 
+def test_inner_product_orthonormal_eigenpair(harmonic_199):
+    # sampled eigenfunctions phi = u / sqrt(h) under the quadrature product h * sum(conj(f) g)
+    s = harmonic_199
+    h = s.grid.h
+    phi = s.modes[:, :2] / np.sqrt(h)
+    assert abs(h * np.vdot(phi[:, 0], phi[:, 1])) <= 1e-12
+    assert abs(h * np.vdot(phi[:, 0], phi[:, 0]) - 1) <= 1e-12
+
+
 def test_reflection_reverses_samples():
     g = sp.make_grid(-1, 1, 3)
     j = sp.reflection_action(g)

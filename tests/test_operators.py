@@ -67,6 +67,15 @@ def test_triparity_nonhermiticity_gap_is_sqrt3(qc_199, box_2x2):
             assert sp.spectral_hermiticity_gap(q) == pytest.approx(np.sqrt(3.0), abs=1e-10)
 
 
+def test_adjoint_properties(qc_199):
+    parity = sp.build_parity(qc_199)
+    q = sp.build_triparity(qc_199)
+    assert np.abs(parity.action.conj().T - parity.action).max() <= 1e-12
+    assert np.abs(q.action.conj().T - q.action).max() > 0.1  # Q is not its own adjoint
+    gap = sp.spectral_hermiticity_gap(q)
+    assert gap == pytest.approx(np.sqrt(3.0), abs=1e-10)
+
+
 def test_triparity_matches_complex_times_real_product(qc_199):
     u = qc_199.modes
     for branch in (+1, -1):

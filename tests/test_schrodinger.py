@@ -117,6 +117,15 @@ def test_spectrum_invariants(harmonic_999):
         assert col[first] > 0
 
 
+def test_phi_is_derived_not_stored(harmonic_199):
+    assert "phi" not in {f.name for f in dataclasses.fields(sp.Spectrum)}
+    assert not hasattr(sp.Spectrum, "phi")
+    s = harmonic_199
+    phi = s.modes / np.sqrt(s.grid.h)
+    assert np.abs(s.grid.h * (phi.T @ phi) - np.eye(s.n_modes)).max() <= 1e-11
+    assert sp.check_orthonormality(s, s.n_modes) <= 1e-11
+
+
 def test_bound_state_gaps_are_simple(harmonic_999, qc_999):
     # strictly positive gaps throughout the resolved bound-state window
     h = harmonic_999
