@@ -153,7 +153,7 @@ def build_graded(s: Spectrum, w, truncate: int | None = None) -> OperatorKernel:
         action[top:] = action[: n - top][::-1, ::-1]
     else:
         action = _dyad_rows(block, w.values)
-    return OperatorKernel(grid=s.grid, action=action, truncated=truncate is not None)
+    return OperatorKernel(grid=s.grid, action=action, truncated=block.shape[1] < s.grid.n)
 
 
 def build_parity(s: Spectrum, truncate: int | None = None) -> OperatorKernel:

@@ -51,7 +51,6 @@ from .schrodinger import (
 from .serial import dumps
 
 NORM_TOL = 1e-10
-GAP_WARNING_ABS = 1e-8
 NODE_AUDIT_MAX = 50
 ORDER_NAMES = {2: "involution", 3: "cube"}  # the name of each grading's A^m = I check
 
@@ -104,7 +103,7 @@ class VerificationReport:
     potential: dict
     grid: dict
     checks: tuple
-    warnings: tuple = ()
+    warnings: tuple = ()  # each starts "<name>:" and explains a check that failed
     timings: tuple = ()  # (stage name, seconds) pairs, in pipeline order
 
     def __post_init__(self):
@@ -652,23 +651,14 @@ def run_suite(
     check("node_count", node_audit)
     results.sort(key=lambda c: c.name)
 
-    warnings = []
-    min_gap = float(np.diff(s.energies).min()) if s.n_modes > 1 else np.inf
-    if min_gap < GAP_WARNING_ABS and reflection_applies(v, grid):
-        warnings.append(
-            f"reflection_reduction: minimum eigenvalue gap {min_gap:.3e} is below "
-            f"{GAP_WARNING_ABS:g}; parity assignment in degenerate pairs relies on "
-            f"the exact reflection symmetry of the discrete Hamiltonian"
-        )
     failing = [k for k, defect in enumerate(node_defects) if defect > tol["node_count"]]
-    if failing:
-        warnings.append(_node_warning(s, failing, len(node_defects)))
+    warnings = (_node_warning(s, failing, len(node_defects)),) if failing else ()
 
     return VerificationReport(
         potential=v.describe(),
         grid=grid.describe(),
         checks=tuple(results),
-        warnings=tuple(warnings),
+        warnings=warnings,
         timings=tuple(timings),
     )
 

@@ -149,6 +149,18 @@ def test_truncated_parity_squares_to_the_projector(qc_199):
     assert np.abs(square - projector).max() <= 1e-10
 
 
+def test_a_truncation_to_every_mode_is_not_truncated(qc_199):
+    full = sp.build_parity(qc_199)
+    every = sp.build_parity(qc_199, truncate=199)
+    assert every.truncated is False
+    assert every.action.tobytes() == full.action.tobytes()
+    assert sp.check_involution(every) <= 1e-10
+    one_short = sp.build_parity(qc_199, truncate=198)
+    assert one_short.truncated
+    with pytest.raises(sp.TruncatedOperatorError):
+        sp.check_involution(one_short)
+
+
 def test_reconstruction_matches_assembled_matrix(harmonic_199, qc_199):
     for s, name in ((harmonic_199, "harmonic"), (qc_199, "quartic_cubic")):
         hm = sp.assemble(sp.named(name), s.grid)

@@ -2,6 +2,7 @@
 
 The suite passes (exit 0), a named check fails (exit 1), or a typed error
 is reported on an ``error:`` line (exit 2 or 3), never with a traceback.
+Each warning of a written report names a check that failed in it.
 A sweep writes the same ``sweep.csv`` bytes whatever ``--jobs`` says. The
 same holds for widths, centres and coefficients of any magnitude a double
 can hold, where an input error (exit 2) leaves no output directory.
@@ -70,11 +71,13 @@ def test_verify_ends_in_a_documented_exit(tmp_path_factory, args):
     out = tmp_path_factory.getbasetemp() / "property"
     code, err = _run([*args, f"--out={out}"])
     _assert_documented(code, err)
-    if code == 1:  # a named check failed; a failing node audit says where
+    if code in (0, 1):  # every warning explains a failed check; a failing node audit says where
         doc = json.loads((out / "report.json").read_text())
-        (nodes,) = [c for c in doc["checks"] if c["name"] == "node_count"]
-        warned = [w for w in doc.get("warnings", ()) if w.startswith("node_count:")]
-        assert len(warned) == (0 if nodes["pass"] else 1), (args, warned)
+        failed = {c["name"] for c in doc["checks"] if not c["pass"]}
+        warnings = doc.get("warnings", [])
+        assert all(w.partition(":")[0] in failed for w in warnings), (args, warnings)
+        warned = [w for w in warnings if w.startswith("node_count:")]
+        assert len(warned) == ("node_count" in failed), (args, warned)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None,
