@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    EigensolverError,
     GridMismatchError,
     SuiteStageError,
     TruncatedOperatorError,
@@ -172,15 +173,90 @@ def _centrosymmetric(a: np.ndarray) -> bool:
     return _rows_equal(_fold_sizes(n)[1], lambda r: a[n - r.stop : n - r.start][::-1, ::-1], lambda r: a[r])
 
 
-def _lanczos_norm(embedded, n: int) -> float:
-    """Largest |eigenvalue| of the real symmetric 2n x 2n operator ``embedded``, by one Lanczos run."""
-    # imported here, not at module top, so CLI start-up does not pay for it
-    from scipy.sparse.linalg import LinearOperator, eigsh
+_LANCZOS_CHUNK = 32  # Lanczos vectors allocated at a time
+_LANCZOS_CAPACITY = 128  # Lanczos vectors held before a thick restart
+_LANCZOS_RESTARTS = 10  # thick restarts before a run counts as unconverged
+_LANCZOS_CHECK = 2  # Lanczos steps from one convergence test to the next
 
-    op = LinearOperator((2 * n, 2 * n), matvec=embedded, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(2 * n)
-    vals = eigsh(op, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
-    return float(np.abs(vals).max())
+
+def _lanczos_norm(embedded, n: int) -> float:
+    """Largest |eigenvalue| of the real symmetric 2n x 2n operator ``embedded``, by Lanczos.
+
+    The run starts from ``default_rng(0).standard_normal(2n)``. Each new
+    vector A v_k is orthogonalized against every Lanczos vector by two
+    classical Gram-Schmidt passes, whose coefficients on v_k sum to alpha_k.
+    The vectors are the rows of arrays of ``_LANCZOS_CHUNK`` rows, allocated
+    as the run reaches them. Every ``_LANCZOS_CHECK`` steps the extreme
+    eigenpairs (theta_i, s_i) of the k x k tridiagonal T_k come from
+    ``scipy.linalg.eigh_tridiagonal``, and the run stops when both satisfy
+    beta_k |s_i[k-1]| <= eps max|theta|, ARPACK's test at tol=0 (Lehoucq,
+    Sorensen & Yang, ARPACK Users' Guide, SIAM 1998, 4.6), or when the
+    Krylov space is invariant (beta_k = 0 or k = 2n).
+
+    A run that holds ``_LANCZOS_CAPACITY`` vectors unconverged restarts from
+    the two extreme Ritz vectors y_0, y_1 and the next Lanczos vector v (Wu
+    & Simon, SIAM J. Matrix Anal. Appl. 22 (2000) 602-616). With c_i =
+    beta_k s_i[k-1], A y_i = theta_i y_i + c_i v, so the rotation
+    q_1 = (c_0 y_0 + c_1 y_1)/|c|, q_0 = (c_0 y_1 - c_1 y_0)/|c| leaves q_0
+    uncoupled from v, and (q_0, q_1, v) carries on as a Lanczos basis whose
+    T is again tridiagonal. After ``_LANCZOS_RESTARTS`` restarts the run
+    raises ``EigensolverError``.
+    """
+    # imported here, not at module top, so CLI start-up does not pay for it
+    from scipy.linalg import eigh_tridiagonal
+
+    size, chunk = 2 * n, _LANCZOS_CHUNK
+    arrays = []
+
+    def basis(k: int) -> list:
+        """(index of the first row, rows) of the arrays that hold vectors 0..k-1."""
+        return [(first, block[: k - first]) for first, block in zip(range(0, k, chunk), arrays)]
+
+    def store(j: int, v: np.ndarray) -> None:
+        if j == len(arrays) * chunk:
+            arrays.append(np.empty((chunk, size)))
+        arrays[j // chunk][j % chunk] = v
+
+    start = np.random.default_rng(0).standard_normal(size)
+    store(0, start / np.linalg.norm(start))
+    alpha, beta = [], []  # T_k's diagonal, and beta_0..beta_k-1, the last one coupling to w
+    k = restarts = 0
+    while True:
+        w = np.array(embedded(arrays[k // chunk][k % chunk]), dtype=float)
+        alpha.append(0.0)
+        for _ in range(2):
+            for first, block in basis(k + 1):
+                h = block @ w
+                w -= h @ block
+                if k - first < len(block):
+                    alpha[-1] += h[k - first]
+        b = float(np.linalg.norm(w))
+        if not math.isfinite(b):
+            raise EigensolverError(f"Lanczos met a non-finite vector after {k + 1} steps")
+        beta.append(b)
+        k += 1
+        if k % _LANCZOS_CHECK and k < _LANCZOS_CAPACITY and k < size and b:
+            store(k, w / b)
+            continue
+        theta, s = eigh_tridiagonal(alpha, beta[:-1])
+        theta, s = theta[[0, -1]], s[:, [0, -1]]
+        coupling = b * s[-1]
+        scale = float(np.abs(theta).max())
+        if k == size or (np.abs(coupling) <= np.finfo(float).eps * scale).all():
+            return scale
+        if k == _LANCZOS_CAPACITY:
+            if restarts == _LANCZOS_RESTARTS:
+                raise EigensolverError(f"Lanczos did not converge in {restarts} restarts of {k} vectors")
+            restarts += 1
+            y = sum(s[first : first + len(block)].T @ block for first, block in basis(k))
+            c = math.hypot(*coupling)
+            g0, g1 = coupling / c
+            store(0, g0 * y[1] - g1 * y[0])
+            store(1, g0 * y[0] + g1 * y[1])
+            alpha = [g1 * g1 * theta[0] + g0 * g0 * theta[1], g0 * g0 * theta[0] + g1 * g1 * theta[1]]
+            beta = [g0 * g1 * (theta[1] - theta[0]), c]
+            k = 2
+        store(k, w / b)
 
 
 def _lanczos_gap(a: np.ndarray) -> float:
@@ -622,7 +698,8 @@ def run_suite(
     hm = timed_stage("assemble", assemble, v, grid)
     s = spectrum if spectrum is not None else timed_stage("solve", solve, hm)
     times = np.linspace(0.0, 10.0, 101)  # the conservation checks' grid of t
-    psi_super = (s.modes[:, 0] + s.modes[:, 1]) / np.sqrt(2.0)
+    pair = s.modes[:, 0] + s.modes[:, 1]
+    psi_super = pair / np.linalg.norm(pair)  # of unit norm also where u_0 and u_1 are not orthogonal
     for g in sorted(gradings(omega_branch).values(), key=lambda g: g.target is None):  # complex first
         op = timed_stage(f"build_{g.name}", g.build, s)
         if g.target is None:

@@ -1,9 +1,11 @@
-"""``tools/bench_record.py --argv`` on a real command line at n=9, in one fresh interpreter."""
+"""``tools/bench_record.py --argv`` and ``--stages`` on a real command line at n=9, in fresh interpreters."""
 import importlib.util
 import re
 from pathlib import Path
 
 import pytest
+
+import specparity as sp
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
 _spec = importlib.util.spec_from_file_location("bench_record", TOOL)
@@ -21,6 +23,22 @@ def test_argv_mode_times_a_command_line_and_labels_it_outside_the_workloads(tmp_
     # --seconds 0 leaves one timed call after the warm-up
     match = re.fullmatch(r"run 1 op_s (\S+)  ru_maxrss_mb (\S+)  failed 0/1", lines[1])
     assert match and float(match[1]) > 0 and float(match[2]) > 0
+    assert list(tmp_path.iterdir()) == []  # each call writes into a temporary directory
+
+
+def test_stages_mode_reads_each_stage_and_check_of_a_real_verify(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert bench_record.main(["--stages", COMMAND]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"# outside the benchmark's workloads: specparity {COMMAND}, per stage and check")
+    rows = {line.split()[0]: line.split() for line in lines[4:-1]}  # after the run line and the header
+    # the four stages of a solved suite and its 15 checks, in pipeline order
+    assert list(rows)[:4] == ["assemble", "solve", "build_triparity", "triparity_nonhermiticity"]
+    assert set(rows) == {"assemble", "solve", "build_triparity", "build_parity", *sp.DEFAULT_TOLERANCES}
+    assert all(float(cells[1]) > 0 for cells in rows.values())
+    first, last = (float(mb) for mb in rows["node_count"][4].split("/"))
+    assert 0 < first <= last  # VmHWM never falls
+    assert lines[-1].startswith("change: peak reached after (first call, last call), per run: [(")
     assert list(tmp_path.iterdir()) == []  # each call writes into a temporary directory
 
 

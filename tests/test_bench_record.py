@@ -162,3 +162,50 @@ def test_record_says_whether_the_measured_source_is_heads(tmp_path, monkeypatch,
     for entry in doc["workloads"].values():
         assert entry["env"]["src_sha256"] == "0123"
         assert entry["head_src_sha256"] == head and entry["src_matches_head"] is matches
+
+
+def _call(seconds, vmhwm, start=50.0):
+    return {"exit": 0, "seconds": seconds, "vmhwm_start_mb": start, "vmhwm_mb": vmhwm}
+
+
+def test_a_stage_run_takes_the_median_of_its_timed_calls_and_where_each_call_peaked():
+    warm_up = _call({"solve": 9.0, "build_parity": 9.0}, {"solve": 60.0, "build_parity": 70.0})
+    calls = [warm_up,
+             _call({"solve": 0.3, "build_parity": 0.2}, {"solve": 70.0, "build_parity": 70.0}, start=70.0),
+             _call({"solve": 0.1, "build_parity": 0.4}, {"solve": 70.0, "build_parity": 72.5}, start=70.0),
+             _call({"solve": 0.2, "build_parity": 0.3}, {"solve": 72.5, "build_parity": 72.5}, start=72.5)]
+    summary = bench_record.summarize_stages(calls)
+    assert summary["seconds"] == pytest.approx({"solve": 0.2, "build_parity": 0.3})  # the warm-up is not timed
+    assert list(summary["seconds"]) == ["solve", "build_parity"]  # call order
+    assert summary["vmhwm_first_mb"] == warm_up["vmhwm_mb"] and summary["failed"] == 0
+    assert summary["peak_first"] == "build_parity"
+    assert summary["peak_last"] is None  # the last call did not raise VmHWM
+    assert bench_record.peak_stage(calls[2]) == "build_parity"
+    assert bench_record.peak_stage(_call({}, {"solve": None})) is None  # no /proc/self/status
+
+
+def test_a_stage_run_counts_a_call_without_a_report_as_failed():
+    calls = [_call({"solve": 1.0}, {"solve": 60.0}), {"exit": 3}, _call({"solve": 0.5}, {"solve": 60.0}, start=60.0)]
+    summary = bench_record.summarize_stages(calls)
+    assert summary["failed"] == 1 and summary["seconds"] == {"solve": 0.5}
+
+
+def test_stage_rows_give_each_sides_quartiles_and_the_pairs():
+    def run(solve, vmhwm):
+        return {"seconds": {"solve": solve}, "vmhwm_first_mb": {"solve": vmhwm}, "vmhwm_last_mb": {"solve": vmhwm + 1}}
+
+    sides = {"parent": [run(1.0, 60.0), run(1.2, 61.0), run(1.1, 62.0)],
+             "change": [run(0.9, 58.0), run(1.0, 59.0), run(1.2, 60.0)]}
+    [row] = bench_record._stage_rows(sides)
+    assert row["name"] == "solve"
+    assert row["parent"]["seconds"]["median"] == pytest.approx(1.1)
+    assert row["change"]["vmhwm_first_mb"] == 59.0 and row["change"]["vmhwm_last_mb"] == 60.0
+    assert row["pairs"]["wins"] == 2 and row["pairs"]["gain"] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("extra", [["--argv", "verify"], ["--seeds", "1"], ["--label", "x"], ["--runs", "0"],
+                                   ["--seconds", "1"]])
+def test_stages_mode_refuses_the_other_modes_flags(extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--stages", "verify --n 9", *extra])
+    assert exc.value.code == 2

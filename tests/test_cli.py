@@ -102,6 +102,25 @@ def test_cli_start_up_does_not_import_scipy(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
+def test_verify_does_not_import_scipy_sparse(tmp_path):
+    # the gap's Lanczos is the package's own, so scipy.sparse (and ARPACK) stay unloaded
+    probe = (
+        "import sys\n"
+        "from specparity import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, "verify", "--potential", "harmonic", "--xmin", "-8",
+         "--xmax", "8", "--n", "99", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
+
+
 def test_solve_rejects_tiny_grid(tmp_path, capsys):
     code = run_cli(
         ["solve", "--potential", "harmonic", "--xmin", -8, "--xmax", 8, "--n", 1, "--out", tmp_path]

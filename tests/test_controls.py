@@ -71,6 +71,12 @@ ROWS = {
     "rotate-u0-u2-by-0.1": (lambda s: rotate(s, 2, -ANGLE),
                             {"hamiltonian_reconstruction", "node_count", "triparity_commutator"},
                             {"hamiltonian_reconstruction", "triparity_commutator"}),
+    # mode 0's triparity weight is 1, real, as mode 3's below
+    "corrupt-mode-0": (lambda s: sp.corrupt_spectrum(s, 0),
+                       ALL - {"parity_hermiticity", "reflection_reduction", "triparity_nonhermiticity"},
+                       ALL - {"parity_hermiticity", "triparity_nonhermiticity"}),
+    "corrupt-mode-1": (lambda s: sp.corrupt_spectrum(s, 1),
+                       ALL - {"parity_hermiticity", "reflection_reduction"}, ALL - {"parity_hermiticity"}),
     "corrupt-mode-2": (lambda s: sp.corrupt_spectrum(s, 2),
                        ALL - {"parity_hermiticity", "reflection_reduction"}, ALL - {"parity_hermiticity"}),
     # mode 3's triparity weight is 1, real, so ||Q - Q^dagger||_2 does not see it

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import specparity as sp
+from specparity import verify
 from specparity.cli import main
 from specparity.schrodinger import _identity_defect, _row_blocks, _sectors
 from specparity.verify import _centrosymmetric, _reconstruction_defect, reflection_defect
@@ -476,16 +477,14 @@ def test_block_hermiticity_gap_with_an_exactly_hermitian_even_block(monkeypatch,
     a = np.vstack([top, centre, top[::-1, ::-1]])
     assert _centrosymmetric(a)
     assert np.array_equal(x + y, (x + y).conj().T) and not np.array_equal(x - y, (x - y).conj().T)
-    from scipy.sparse import linalg
-
     runs = []
-    eigsh = linalg.eigsh
+    lanczos_norm = verify._lanczos_norm
 
-    def counted(*args, **kwargs):
-        runs.append(args[0].shape)
-        return eigsh(*args, **kwargs)
+    def counted(embedded, size):
+        runs.append((2 * size, 2 * size))  # the shape of the real embedding
+        return lanczos_norm(embedded, size)
 
-    monkeypatch.setattr(linalg, "eigsh", counted)
+    monkeypatch.setattr(verify, "_lanczos_norm", counted)
     gap = sp.spectral_hermiticity_gap(sp.OperatorKernel(grid=sp.make_grid(-1, 1, n), action=a))
     assert runs == [(2 * m, 2 * m)]
     assert gap == pytest.approx(_dense_gap(a), rel=1e-12)
@@ -503,9 +502,7 @@ def test_block_hermiticity_gap_of_a_real_centrosymmetric_kernel(n):
 
 def test_non_centrosymmetric_hermiticity_gap_is_the_whole_matrix_lanczos(harmonic_199):
     # Oracle: one Lanczos run on the real embedding of the whole A, as the
-    # gap is computed when A is not its own mirror image.
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
+    # gap is computed when A is not its own mirror image, and the dense norm.
     q = sp.build_triparity(harmonic_199)
     moved = _moved(q, (198, 1))
     assert not _centrosymmetric(moved.action)
@@ -521,10 +518,9 @@ def test_non_centrosymmetric_hermiticity_gap_is_the_whole_matrix_lanczos(harmoni
             az, atz = a @ z, z.conj() @ a
             return np.concatenate([az.imag + atz.imag, atz.real - az.real])
 
-        op = LinearOperator((2 * n, 2 * n), matvec=embedded, dtype=float)
-        v0 = np.random.default_rng(0).standard_normal(2 * n)
-        whole = float(np.abs(eigsh(op, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)).max())
-        assert sp.spectral_hermiticity_gap(sp.OperatorKernel(grid=q.grid, action=a)) == whole
+        gap = sp.spectral_hermiticity_gap(sp.OperatorKernel(grid=q.grid, action=a))
+        assert gap == verify._lanczos_norm(embedded, n)
+        assert gap == pytest.approx(_dense_gap(a), rel=1e-12)
 
 
 # Each check may allocate at most this many n x n float64 arrays beyond its

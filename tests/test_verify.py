@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import specparity as sp
+from specparity import verify
 
 
 @pytest.fixture(scope="module")
@@ -56,10 +57,68 @@ def test_hermiticity_gap_of_a_hermitian_centrosymmetric_kernel_needs_no_lanczos(
     a = h + h[::-1, ::-1]
 
     def no_lanczos(*args, **kwargs):
-        raise AssertionError("eigsh ran on an exactly Hermitian operand")
+        raise AssertionError("Lanczos ran on an exactly Hermitian operand")
 
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_lanczos)
+    monkeypatch.setattr("specparity.verify._lanczos_norm", no_lanczos)
     assert sp.spectral_hermiticity_gap(sp.OperatorKernel(grid=sp.make_grid(-1, 1, n), action=a)) == 0.0
+
+
+def _lanczos_counted(monkeypatch, **constants):
+    """Set ``verify``'s Lanczos constants; return a list that grows by one per matrix-vector product."""
+    for name, value in constants.items():
+        monkeypatch.setattr(verify, name, value)
+    products, lanczos_norm = [], verify._lanczos_norm
+
+    def counted(embedded, n):
+        def product(v):
+            products.append(1)
+            return embedded(v)
+
+        return lanczos_norm(product, n)
+
+    monkeypatch.setattr(verify, "_lanczos_norm", counted)
+    return products
+
+
+def _anti_hermitian(eigenvalues, seed):
+    """A = iH/2 with H Hermitian of the given eigenvalues (symmetrized), so (A - A^dagger)/i = H."""
+    n = len(eigenvalues)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    h = (q * eigenvalues) @ q.conj().T
+    return sp.OperatorKernel(grid=sp.make_grid(-1, 1, n), action=0.25j * (h + h.conj().T))
+
+
+def test_hermiticity_gap_whose_largest_eigenvalue_is_at_the_negative_end():
+    k = _anti_hermitian(np.linspace(-1.0, 0.99, 60), 31)
+    dense = np.linalg.eigvalsh((k.action - k.action.conj().T) / 1j)
+    assert dense[0] == pytest.approx(-1.0, abs=1e-12) and dense[-1] < 0.995
+    assert sp.spectral_hermiticity_gap(k) == pytest.approx(-dense[0], rel=1e-12)
+
+
+# eigenvalues -1 and 0.9 apart from 58 in [-0.5, 0.5]: both ends converge in
+# a few dozen steps, more than a basis of 8 holds
+RESTART_SPECTRUM = np.concatenate([[-1.0, 0.9], np.linspace(-0.5, 0.5, 58)])
+
+
+def test_lanczos_restarts_when_its_basis_is_full(monkeypatch):
+    k = _anti_hermitian(RESTART_SPECTRUM, 37)
+    products = _lanczos_counted(monkeypatch, _LANCZOS_CAPACITY=8, _LANCZOS_CHUNK=4)
+    assert sp.spectral_hermiticity_gap(k) == pytest.approx(1.0, rel=1e-12)
+    assert len(products) > 8  # so the run restarted
+
+
+def test_lanczos_that_does_not_converge_raises(monkeypatch):
+    k = _anti_hermitian(RESTART_SPECTRUM, 37)
+    products = _lanczos_counted(monkeypatch, _LANCZOS_CAPACITY=8, _LANCZOS_CHUNK=4, _LANCZOS_RESTARTS=2)
+    with pytest.raises(sp.EigensolverError, match="did not converge in 2 restarts of 8 vectors"):
+        sp.spectral_hermiticity_gap(k)
+    assert len(products) == 8 + 2 * 6  # each restart keeps two Ritz vectors and the next Lanczos vector
+
+
+def test_lanczos_refuses_a_non_finite_product():
+    with pytest.raises(sp.EigensolverError, match="non-finite"):
+        verify._lanczos_norm(lambda v: np.full_like(v, np.nan), 5)
 
 
 def test_commutator_examples(qc_199):

@@ -4,6 +4,7 @@
     python3 tools/bench_record.py --label L --seeds 1..3
     python3 tools/bench_record.py --against HEAD~1 --workload verify-asym-999 --seeds 11..13
     python3 tools/bench_record.py --argv "verify --potential harmonic --xmin=-8 --xmax=8 --n 1999" [--against HEAD~1]
+    python3 tools/bench_record.py --stages "verify --potential harmonic --xmin=-8 --xmax=8 --n 1999" --runs 5 [--against HEAD~1]
 
 Each run is one ``bench/run_bench.py --workload W --seed S --trace 0`` subprocess
 at the run length ``BENCHMARK.json`` sets, so this tool adds no measurement of its
@@ -44,6 +45,23 @@ repeats that N times; with ``--against REV`` each run is a pair on REV and this
 tree, ordered as above, and the table gives medians, quartiles, wins and whether
 the median gain exceeds REV's interquartile range, but no verdict: the bounds of
 ``BENCHMARK.json`` belong to its workloads. It exits 0 when no call exited nonzero.
+
+``--stages "<verify args>"`` gives the per-stage figures of one ``verify`` command
+line, also outside the benchmark's workloads. Each run is a fresh interpreter that
+calls ``specparity.cli.main`` once as a warm-up and then ``STAGE_SUITES`` times,
+each call writing ``report.json`` into a temporary directory. From each report it
+takes every stage's ``timings`` and every check's ``seconds``. A wrapper on
+``verify._stage``, installed from outside the package, reads the process's VmHWM
+from ``/proc/self/status`` after each stage and check (null where that file is
+missing), so the first name after which VmHWM reaches its final value is where
+the call raised the resident peak, if it did. A run's figure for a name is the median over
+its timed calls. The table gives, per name in pipeline order, the median and
+quartiles of those figures across ``--runs N`` runs, and the median VmHWM after
+the name on the warm-up call and on the last timed call; below it, the name where
+each of the two raised VmHWM to its last value (none where it did not rise). With ``--against REV`` the runs are pairs on REV
+and this tree, ordered as above, and each row gives both sides, the pairs this
+tree wins and whether the median gain exceeds REV's interquartile range. It exits
+0 when every call exited 0 or 1, that is, wrote its report.
 """
 from __future__ import annotations
 
@@ -97,6 +115,52 @@ while not walls or sum(walls) + statistics.median(walls) <= seconds:
     failed += code != 0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps({"ops": len(walls), "failed": failed, "op_s": statistics.median(walls), "ru_maxrss_mb": rss}))
+"""
+
+
+STAGE_SUITES = 3  # timed suites per --stages run, after the warm-up
+
+# The --stages loop, run as ``python -c STAGES_LOOP SUITES OUT ARG...`` in a fresh interpreter.
+# The last stdout line is one JSON record per call, the warm-up first.
+STAGES_LOOP = """\
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from specparity import cli, verify
+suites, out, argv = int(sys.argv[1]), Path(sys.argv[2]), sys.argv[3:]
+
+def vmhwm_mb():
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return next(int(line.split()[1]) / 1024.0 for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+
+hwm, stage = {}, verify._stage
+
+def probed(name, fn, *args, **kwargs):
+    try:
+        return stage(name, fn, *args, **kwargs)
+    finally:
+        hwm[name] = vmhwm_mb()
+
+verify._stage = probed
+calls = []
+for number in range(suites + 1):
+    hwm.clear()
+    start = vmhwm_mb()
+    sink = io.StringIO()
+    with redirect_stdout(sink), redirect_stderr(sink):
+        code = cli.main([*argv, "--out", str(out / str(number))])
+    if code not in (0, 1):
+        print(f"exit {code}: {sink.getvalue()[-2000:]}", file=sys.stderr)
+        calls.append({"exit": code})
+        continue
+    report = json.loads((out / str(number) / "report.json").read_text(encoding="utf-8"))
+    seconds = {**report["timings"], **{c["name"]: c["seconds"] for c in report["checks"]}}
+    calls.append({"exit": code, "seconds": {name: seconds[name] for name in hwm}, "vmhwm_start_mb": start,
+                  "vmhwm_mb": dict(hwm)})
+print(json.dumps(calls))
 """
 
 
@@ -155,6 +219,106 @@ def run_argv(tree: Path, argv: list, seconds: float) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"the --argv loop in {tree} exited {proc.returncode}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_stages(tree: Path, argv: list) -> list:
+    """One ``STAGES_LOOP`` of ``argv`` on the sources of ``tree``: one record per call, the warm-up first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory(prefix="bench-stages-") as work:
+        cmd = [sys.executable, "-c", STAGES_LOOP, str(STAGE_SUITES), str(Path(work) / "out"), *argv]
+        proc = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"the --stages loop in {tree} exited {proc.returncode}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def peak_stage(call: dict):
+    """The first name, in call order, after which VmHWM reads the call's last value, or None
+    where the call did not raise VmHWM above its value at the start or has no readings."""
+    start, vmhwm = call.get("vmhwm_start_mb"), call.get("vmhwm_mb", {})
+    if start is None or not vmhwm or None in vmhwm.values():
+        return None
+    peak = max(vmhwm.values())
+    return next(name for name, mb in vmhwm.items() if mb == peak) if peak > start else None
+
+
+def summarize_stages(calls: list) -> dict:
+    """One run's figures: per name the median seconds over the timed calls (the warm-up is
+    ``calls[0]``), VmHWM after it on the warm-up and the last timed call, and where each peaked."""
+    timed = [c for c in calls[1:] if "seconds" in c]
+    names = list(timed[0]["seconds"]) if timed else []
+    return {
+        "failed": sum("seconds" not in c for c in calls),
+        "seconds": {name: quartiles([c["seconds"][name] for c in timed])["median"] for name in names},
+        "vmhwm_first_mb": calls[0].get("vmhwm_mb", {}),
+        "vmhwm_last_mb": timed[-1]["vmhwm_mb"] if timed else {},
+        "peak_first": peak_stage(calls[0]),
+        "peak_last": peak_stage(timed[-1]) if timed else None,
+    }
+
+
+def _median_of(runs: list, key: str, name: str):
+    values = [r[key][name] for r in runs if r[key].get(name) is not None]
+    return quartiles(values)["median"] if values else None
+
+
+def _stage_rows(sides: dict) -> list:
+    """Per name, in pipeline order: each side's quartiles of seconds and median VmHWM figures,
+    and with two sides ``pair_stats`` of the seconds."""
+    order = next(iter(sides.values()))[0]["seconds"]
+    rows = []
+    for name in order:
+        row = {"name": name}
+        for side, runs in sides.items():
+            row[side] = {"seconds": quartiles([r["seconds"][name] for r in runs]),
+                         "vmhwm_first_mb": _median_of(runs, "vmhwm_first_mb", name),
+                         "vmhwm_last_mb": _median_of(runs, "vmhwm_last_mb", name)}
+        if len(sides) == 2:
+            row["pairs"] = pair_stats(*[[r["seconds"][name] for r in sides[s]] for s in ("parent", "change")], "lower")
+        rows.append(row)
+    return rows
+
+
+def _mb(value) -> str:
+    return "-" if value is None else f"{value:.1f}"
+
+
+def measure_stages(argv: list, runs: int, rev: str | None) -> bool:
+    """``runs`` ``STAGES_LOOP`` runs of ``argv`` on this tree, or pairs against ``rev``; True if none failed."""
+    command = "specparity " + shlex.join(argv)
+    print(f"# {OUTSIDE}: {command}, per stage and check, {STAGE_SUITES} timed suites per run", flush=True)
+
+    def run(_, root):
+        summary = summarize_stages(run_stages(root, argv))
+        print(f"run seconds {sum(summary['seconds'].values()):.4g}  peak after {summary['peak_first']} (first call),"
+              f" {summary['peak_last']} (last call)  failed {summary['failed']}", flush=True)
+        return summary
+
+    if rev is None:
+        sides = {"change": [run(None, ROOT) for _ in range(runs)]}
+    else:
+        with checkout(rev) as tree:
+            sides = {"parent": [], "change": []}
+            for number in range(1, runs + 1):
+                for side in ["parent", "change"] if number % 2 else ["change", "parent"]:
+                    print(f"pair {number} {side:6s} ", end="")
+                    sides[side].append(run(None, tree if side == "parent" else ROOT))
+    print(f"\n{'name':28s}" + "".join(f" {s + ' s median [q1, q3]':34s} {'VmHWM MB first/last':20s}" for s in sides)
+          + ("  wins  gain>IQR" if rev else ""))
+    for row in _stage_rows(sides):
+        cells = "".join(
+            f" {row[s]['seconds']['median']:.4g} [{row[s]['seconds']['q1']:.4g}, {row[s]['seconds']['q3']:.4g}]".ljust(35)
+            + f" {_mb(row[s]['vmhwm_first_mb'])}/{_mb(row[s]['vmhwm_last_mb'])}".ljust(21)
+            for s in sides
+        )
+        pairs = row.get("pairs")
+        tail = f"  {pairs['wins']}/{pairs['pairs']:<3d} {'yes' if pairs['gain_exceeds_parent_iqr'] else 'no'}" if pairs else ""
+        print(f"{row['name']:28s}{cells}{tail}".rstrip())
+    for side, side_runs in sides.items():
+        peaks = [(r["peak_first"], r["peak_last"]) for r in side_runs]
+        print(f"{side}: peak reached after (first call, last call), per run: {peaks}")
+    return not any(r["failed"] for side in sides.values() for r in side)
 
 
 def source_digest(files: dict) -> str:
@@ -326,13 +490,22 @@ def main(argv=None) -> int:
     parser.add_argument("--label", help="write BENCH_<label>.json")
     parser.add_argument("--against", metavar="REV", help="compare this tree with REV in alternating pairs")
     parser.add_argument("--argv", metavar='"ARGS"', help=f"time one specparity command line ({OUTSIDE})")
+    parser.add_argument("--stages", metavar='"ARGS"', help=f"time each stage of one verify command line ({OUTSIDE})")
     parser.add_argument("--workload", help="one workload of BENCHMARK.json (required with --against)")
     parser.add_argument("--seeds", help="a..b: the seeds, one run (or one pair) each; not with --argv")
-    parser.add_argument("--runs", type=int, help="with --argv: the number of runs (or pairs), default 1")
+    parser.add_argument("--runs", type=int, help="with --argv or --stages: the number of runs (or pairs), default 1")
     parser.add_argument("--seconds", type=float, help="with --argv: the length of each loop, default run_seconds")
     args = parser.parse_args(argv)
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
+    if args.stages is not None:
+        if args.argv is not None or args.label is not None or args.workload is not None or args.seeds is not None \
+                or args.seconds is not None:
+            parser.error("--stages takes --against and --runs only")
+        runs = 1 if args.runs is None else args.runs
+        if runs < 1:
+            parser.error("--runs must be at least 1")
+        return 0 if measure_stages(shlex.split(args.stages), runs, args.against) else 1
     if args.argv is not None:
         if args.label is not None or args.workload is not None or args.seeds is not None:
             parser.error("--argv takes --against, --runs and --seconds only")
@@ -342,9 +515,9 @@ def main(argv=None) -> int:
             parser.error("--runs must be at least 1 and --seconds not negative")
         return 0 if measure_argv(shlex.split(args.argv), runs, seconds, args.against) else 1
     if args.runs is not None or args.seconds is not None:
-        parser.error("--runs and --seconds go with --argv")
+        parser.error("--runs and --seconds go with --argv (--runs also with --stages)")
     if (args.label is None) == (args.against is None):
-        parser.error("give one of --label, --against and --argv")
+        parser.error("give one of --label, --against, --argv and --stages")
     if args.seeds is None:
         parser.error(f"--{'label' if args.label is not None else 'against'} needs --seeds")
     names = [w["name"] for w in spec["workloads"]]
