@@ -173,7 +173,7 @@ def _centrosymmetric(a: np.ndarray) -> bool:
     return _rows_equal(_fold_sizes(n)[1], lambda r: a[n - r.stop : n - r.start][::-1, ::-1], lambda r: a[r])
 
 
-_LANCZOS_CHUNK = 32  # Lanczos vectors allocated at a time
+_LANCZOS_CHUNK = 16  # Lanczos vectors allocated at a time
 _LANCZOS_CAPACITY = 128  # Lanczos vectors held before a thick restart
 _LANCZOS_RESTARTS = 10  # thick restarts before a run counts as unconverged
 _LANCZOS_CHECK = 2  # Lanczos steps from one convergence test to the next
