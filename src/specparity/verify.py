@@ -188,10 +188,13 @@ def _lanczos_norm(embedded, n: int) -> float:
     The vectors are the rows of arrays of ``_LANCZOS_CHUNK`` rows, allocated
     as the run reaches them. Every ``_LANCZOS_CHECK`` steps the extreme
     eigenpairs (theta_i, s_i) of the k x k tridiagonal T_k come from
-    ``scipy.linalg.eigh_tridiagonal``, and the run stops when both satisfy
-    beta_k |s_i[k-1]| <= eps max|theta|, ARPACK's test at tol=0 (Lehoucq,
-    Sorensen & Yang, ARPACK Users' Guide, SIAM 1998, 4.6), or when the
-    Krylov space is invariant (beta_k = 0 or k = 2n).
+    ``scipy.linalg.eigh_tridiagonal``, and the run stops when both have
+    satisfied beta_k |s_i[k-1]| <= eps max|theta|, ARPACK's test at tol=0
+    (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998, 4.6), or when
+    the Krylov space is invariant (beta_k = 0 or k = 2n). A pair that has
+    met the test counts as converged from then on, since the extreme Ritz
+    values only move outwards: the bound of the returned value is that of
+    its step or of an earlier one.
 
     A run that holds ``_LANCZOS_CAPACITY`` vectors unconverged restarts from
     the two extreme Ritz vectors y_0, y_1 and the next Lanczos vector v (Wu
@@ -221,6 +224,7 @@ def _lanczos_norm(embedded, n: int) -> float:
     store(0, start / np.linalg.norm(start))
     alpha, beta = [], []  # T_k's diagonal, and beta_0..beta_k-1, the last one coupling to w
     k = restarts = 0
+    converged = np.zeros(2, bool)  # which of the two extreme Ritz pairs have met the test
     while True:
         w = np.array(embedded(arrays[k // chunk][k % chunk]), dtype=float)
         alpha.append(0.0)
@@ -242,7 +246,8 @@ def _lanczos_norm(embedded, n: int) -> float:
         theta, s = theta[[0, -1]], s[:, [0, -1]]
         coupling = b * s[-1]
         scale = float(np.abs(theta).max())
-        if k == size or (np.abs(coupling) <= np.finfo(float).eps * scale).all():
+        converged |= np.abs(coupling) <= np.finfo(float).eps * scale
+        if k == size or converged.all():
             return scale
         if k == _LANCZOS_CAPACITY:
             if restarts == _LANCZOS_RESTARTS:
