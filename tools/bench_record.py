@@ -53,13 +53,14 @@ each call writing ``report.json`` into a temporary directory. From each report i
 takes every stage's ``timings`` and every check's ``seconds``. A wrapper on
 ``verify._stage``, installed from outside the package, reads the process's VmHWM
 from ``/proc/self/status`` after each stage and check (null where that file is
-missing), so the first name after which VmHWM reaches its final value is where
-the call raised the resident peak, if it did. A run's figure for a name is the median over
-its timed calls. The table gives, per name in pipeline order, the median and
-quartiles of those figures across ``--runs N`` runs, and the median VmHWM after
-the name on the warm-up call and on the last timed call; below it, the name where
-each of the two raised VmHWM to its last value (none where it did not rise). With ``--against REV`` the runs are pairs on REV
-and this tree, ordered as above, and each row gives both sides, the pairs this
+missing), so the first name after which VmHWM reaches its final value is where the
+call raised the resident peak, if it did. A run's figure for a name is the median
+over its timed calls, and ``suite_s`` is their sum. The table gives, per name in
+pipeline order, the median and quartiles of those figures across ``--runs N`` runs
+and the median VmHWM after the name on the warm-up call and on the last timed
+call; below it, per run, the names where those two calls raised VmHWM to its last
+value (None where it did not rise). With ``--against REV`` the runs are pairs on
+REV and this tree, ordered as above, and each row gives both sides, the pairs this
 tree wins and whether the median gain exceeds REV's interquartile range. It exits
 0 when every call exited 0 or 1, that is, wrote its report.
 """
@@ -291,19 +292,16 @@ def measure_stages(argv: list, runs: int, rev: str | None) -> bool:
 
     def run(_, root):
         summary = summarize_stages(run_stages(root, argv))
-        print(f"run seconds {sum(summary['seconds'].values()):.4g}  peak after {summary['peak_first']} (first call),"
-              f" {summary['peak_last']} (last call)  failed {summary['failed']}", flush=True)
+        summary.update(attempted=STAGE_SUITES + 1, metrics={"suite_s": sum(summary["seconds"].values())})
         return summary
 
     if rev is None:
         sides = {"change": [run(None, ROOT) for _ in range(runs)]}
+        for number, r in enumerate(sides["change"], start=1):
+            print(f"run {number} " + _metrics_text(r))
     else:
         with checkout(rev) as tree:
-            sides = {"parent": [], "change": []}
-            for number in range(1, runs + 1):
-                for side in ["parent", "change"] if number % 2 else ["change", "parent"]:
-                    print(f"pair {number} {side:6s} ", end="")
-                    sides[side].append(run(None, tree if side == "parent" else ROOT))
+            sides = alternate(tree, list(range(runs)), run)
     print(f"\n{'name':28s}" + "".join(f" {s + ' s median [q1, q3]':34s} {'VmHWM MB first/last':20s}" for s in sides)
           + ("  wins  gain>IQR" if rev else ""))
     for row in _stage_rows(sides):
