@@ -192,9 +192,9 @@ def _lanczos_norm(embedded, n: int) -> float:
     satisfied beta_k |s_i[k-1]| <= eps max|theta|, ARPACK's test at tol=0
     (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998, 4.6), or when
     the Krylov space is invariant (beta_k = 0 or k = 2n). A pair that has
-    met the test counts as converged from then on, since the extreme Ritz
-    values only move outwards: the bound of the returned value is that of
-    its step or of an earlier one.
+    met the test counts as converged from then on: the extreme Ritz values
+    only move outwards, so each stays at least as close to its end of the
+    spectrum as when it passed.
 
     A run that holds ``_LANCZOS_CAPACITY`` vectors unconverged restarts from
     the two extreme Ritz vectors y_0, y_1 and the next Lanczos vector v (Wu
