@@ -48,9 +48,12 @@ class ExperimentConfig:
     kernels: tuple
 
 
-def _parse_number_list(text, kind) -> list:
+def _parse_number_list(text, kind, label: str) -> list:
+    tokens = str(text).split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ConfigError(f"{label} has an empty entry in {text!r}")
     try:
-        return [kind(tok) for tok in str(text).split(",") if tok.strip()]
+        return [kind(tok) for tok in tokens]
     except ValueError as exc:
         raise ConfigError(f"bad list {text!r}") from exc
 
@@ -121,12 +124,12 @@ def _flags_as_config(args: argparse.Namespace) -> dict:
     # sweep --jobs is validated and has no effect: the sweep runs in one thread
     if flag("jobs") is not None and args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    potential = {"poly": _parse_number_list(args.poly, float)} if args.poly is not None else None
+    potential = {"poly": _parse_number_list(args.poly, float, "--poly")} if args.poly is not None else None
     if args.potential is not None:
         potential = {"named": args.potential}
-    sweep = {"n_values": _parse_number_list(args.sweep_n, int)} if flag("sweep_n") is not None else None
+    sweep = {"n_values": _parse_number_list(args.sweep_n, int, "--sweep-n")} if flag("sweep_n") is not None else None
     if flag("sweep_h") is not None:
-        sweep = {"h_values": _parse_number_list(args.sweep_h, float)}
+        sweep = {"h_values": _parse_number_list(args.sweep_h, float, "--sweep-h")}
     truncate = flag("truncate")
     with suppress(TypeError, ValueError):  # an int where the text parses as one
         truncate = int(truncate)

@@ -1,4 +1,4 @@
-"""``tools/bench_record.py --argv`` and ``--stages`` on a real command line at n=9, in fresh interpreters."""
+"""``tools/bench_record.py --argv`` on real command lines at n=9, in fresh interpreters."""
 import importlib.util
 import re
 from pathlib import Path
@@ -28,9 +28,9 @@ def test_argv_mode_times_a_command_line_and_labels_it_outside_the_workloads(tmp_
 
 def test_stages_mode_reads_each_stage_and_check_of_a_real_verify(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert bench_record.main(["--stages", COMMAND]) == 0
+    assert bench_record.main(["--argv", COMMAND, "--seconds", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith(f"# outside the benchmark's workloads: specparity {COMMAND}, per stage and check")
+    assert lines[0] == f"# outside the benchmark's workloads: specparity {COMMAND}"
     rows = {line.split()[0]: line.split() for line in lines[4:-1]}  # after the run line and the header
     # the four stages of a solved suite and its 15 checks, in pipeline order
     assert list(rows)[:4] == ["assemble", "solve", "build_triparity", "triparity_nonhermiticity"]
@@ -40,6 +40,16 @@ def test_stages_mode_reads_each_stage_and_check_of_a_real_verify(tmp_path, monke
     assert 0 < first <= last  # VmHWM never falls
     assert lines[-1].startswith("change: peak reached after (first call, last call), per run: [(")
     assert list(tmp_path.iterdir()) == []  # each call writes into a temporary directory
+
+
+def test_argv_mode_prints_no_stage_table_for_a_command_other_than_verify(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    command = "solve --potential harmonic --xmin=-8 --xmax=8 --n 9 --save-modes"
+    assert bench_record.main(["--argv", command, "--seconds", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"# outside the benchmark's workloads: specparity {command}"
+    assert re.fullmatch(r"run 1 op_s \S+  ru_maxrss_mb \S+  failed 0/1", lines[1]) and len(lines) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("extra", [["--seeds", "1..2"], ["--workload", "verify-asym-999"], ["--runs", "0"],

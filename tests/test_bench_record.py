@@ -185,9 +185,20 @@ def test_a_stage_run_takes_the_median_of_its_timed_calls_and_where_each_call_pea
 
 
 def test_a_stage_run_counts_a_call_without_a_report_as_failed():
-    calls = [_call({"solve": 1.0}, {"solve": 60.0}), {"exit": 3}, _call({"solve": 0.5}, {"solve": 60.0}, start=60.0)]
+    # a call that exits nonzero fails; only a call that wrote a report adds stage figures
+    calls = [_call({"solve": 1.0}, {"solve": 60.0}), {"exit": 3}, _call({"solve": 0.5}, {"solve": 60.0}, start=60.0),
+             {**_call({"solve": 0.7}, {"solve": 60.0}, start=60.0), "exit": 1}, {"exit": 0}]
     summary = bench_record.summarize_stages(calls)
-    assert summary["failed"] == 1 and summary["seconds"] == {"solve": 0.5}
+    assert (summary["failed"], summary["attempted"]) == (2, 4)
+    assert summary["seconds"] == {"solve": 0.6}
+    assert summary["vmhwm_last_mb"] == {"solve": 60.0}  # from the last call with a report
+
+
+@pytest.mark.parametrize("seconds", ["inf", "nan", "-1"])
+def test_argv_mode_refuses_a_loop_length_that_is_not_finite_and_not_negative(seconds, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--argv", "verify --n 9", "--seconds", seconds])
+    assert exc.value.code == 2
 
 
 def test_stage_rows_give_each_sides_quartiles_and_the_pairs():
@@ -201,11 +212,3 @@ def test_stage_rows_give_each_sides_quartiles_and_the_pairs():
     assert row["parent"]["seconds"]["median"] == pytest.approx(1.1)
     assert row["change"]["vmhwm_first_mb"] == 59.0 and row["change"]["vmhwm_last_mb"] == 60.0
     assert row["pairs"]["wins"] == 2 and row["pairs"]["gain"] == pytest.approx(0.1)
-
-
-@pytest.mark.parametrize("extra", [["--argv", "verify"], ["--seeds", "1"], ["--label", "x"], ["--runs", "0"],
-                                   ["--seconds", "1"]])
-def test_stages_mode_refuses_the_other_modes_flags(extra, capsys):
-    with pytest.raises(SystemExit) as exc:
-        bench_record.main(["--stages", "verify --n 9", *extra])
-    assert exc.value.code == 2

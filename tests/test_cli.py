@@ -562,6 +562,18 @@ def test_input_errors_exit_2_before_the_output_directory_is_made(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--poly=1,,0,1", "--xmin=-3", "--xmax=3", "--n", 9], "--poly"),  # not 1 + x^2
+    (["sweep", "--potential", "harmonic", "--xmin=-8", "--xmax=8", "--sweep-n", "49,,99,199"], "--sweep-n"),
+    (["sweep", "--potential", "harmonic", "--xmin=-8", "--xmax=8", "--sweep-h", "0.1,0.05,"], "--sweep-h"),
+])
+def test_a_number_list_with_an_empty_entry_exits_2_and_names_its_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} has an empty entry")
+    assert not out.exists()
+
+
 def test_a_non_finite_residual_exits_3_and_names_its_check(tmp_path, capsys):
     # energies near 1.8e308 overflow the propagator's phases E t, so the drift is nan
     out = tmp_path / "out"

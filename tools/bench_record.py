@@ -4,7 +4,6 @@
     python3 tools/bench_record.py --label L --seeds 1..3
     python3 tools/bench_record.py --against HEAD~1 --workload verify-asym-999 --seeds 11..13
     python3 tools/bench_record.py --argv "verify --potential harmonic --xmin=-8 --xmax=8 --n 1999" [--against HEAD~1]
-    python3 tools/bench_record.py --stages "verify --potential harmonic --xmin=-8 --xmax=8 --n 1999" --runs 5 [--against HEAD~1]
 
 Each run is one ``bench/run_bench.py --workload W --seed S --trace 0`` subprocess
 at the run length ``BENCHMARK.json`` sets, so this tool adds no measurement of its
@@ -38,31 +37,27 @@ no more operations than REV. The extracted tree is removed on exit.
 workloads, and its output says so. In a fresh interpreter it calls
 ``specparity.cli.main`` once untimed, as a warm-up, and then in a closed loop while
 the next call's expected cost fits in ``--seconds`` (at least once), each call
-writing into a temporary directory. It prints the median wall time per call
-(``op_s``), the number of timed calls, the calls that exited nonzero and the
-interpreter's ``ru_maxrss`` in MB, at the caller's BLAS thread count. ``--runs N``
-repeats that N times; with ``--against REV`` each run is a pair on REV and this
-tree, ordered as above, and the table gives medians, quartiles, wins and whether
-the median gain exceeds REV's interquartile range, but no verdict: the bounds of
-``BENCHMARK.json`` belong to its workloads. It exits 0 when no call exited nonzero.
+writing into one reused output directory whose ``report.json`` is removed first.
+It prints the median wall time per call (``op_s``), the number of timed calls, the
+calls that exited nonzero and the interpreter's ``ru_maxrss`` in MB, at the
+caller's BLAS thread count. ``--runs N`` repeats that N times; with ``--against
+REV`` each run is a pair on REV and this tree, ordered as above, and the table
+gives medians, quartiles, wins and whether the median gain exceeds REV's
+interquartile range, but no verdict: the bounds of ``BENCHMARK.json`` belong to
+its workloads. It exits 0 when no call exited nonzero.
 
-``--stages "<verify args>"`` gives the per-stage figures of one ``verify`` command
-line, also outside the benchmark's workloads. Each run is a fresh interpreter that
-calls ``specparity.cli.main`` once as a warm-up and then ``STAGE_SUITES`` times,
-each call writing ``report.json`` into a temporary directory. From each report it
-takes every stage's ``timings`` and every check's ``seconds``. A wrapper on
-``verify._stage``, installed from outside the package, reads the process's VmHWM
-from ``/proc/self/status`` after each stage and check (null where that file is
-missing), so the first name after which VmHWM reaches its final value is where the
-call raised the resident peak, if it did. A run's figure for a name is the median
-over its timed calls, and ``suite_s`` is their sum. The table gives, per name in
-pipeline order, the median and quartiles of those figures across ``--runs N`` runs
-and the median VmHWM after the name on the warm-up call and on the last timed
-call; below it, per run, the names where those two calls raised VmHWM to its last
-value (None where it did not rise). With ``--against REV`` the runs are pairs on
-REV and this tree, ordered as above, and each row gives both sides, the pairs this
-tree wins and whether the median gain exceeds REV's interquartile range. It exits
-0 when every call exited 0 or 1, that is, wrote its report.
+A wrapper on ``verify._stage``, installed from outside the package, reads the
+process's VmHWM from ``/proc/self/status`` after each stage and check of a
+``verify`` call (null where that file is missing), so the first name after which
+VmHWM reaches its final value is where the call raised the resident peak, if it
+did. From each ``report.json`` a call wrote, the loop takes every stage's
+``timings`` and every check's ``seconds``; a run's figure for a name is the median
+over its timed calls. For a ``verify`` line a second table gives, per name in
+pipeline order, the median and quartiles of those figures across the runs and the
+median VmHWM after the name on the warm-up call and on the last timed call, with
+``--against`` also the pairs this tree wins and whether the median gain exceeds
+REV's interquartile range; below it, per run, the names where those two calls
+raised VmHWM to its last value (None where it did not rise).
 """
 from __future__ import annotations
 
@@ -70,6 +65,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import shutil
@@ -90,45 +86,14 @@ OUTSIDE = "outside the benchmark's workloads"
 ARGV_METRICS = ({"name": "op_s", "better": "lower"}, {"name": "ru_maxrss_mb", "better": "lower"})
 
 # The --argv loop, run as ``python -c ARGV_LOOP SECONDS OUT ARG...`` in a fresh interpreter.
-# A call that exits nonzero prints its output to stderr. The last stdout line is the result.
+# A call that exits nonzero prints its output to stderr. The last stdout line is the result,
+# with one record per call, the warm-up first.
 ARGV_LOOP = """\
 import gc, io, json, resource, statistics, sys, time
 from contextlib import redirect_stderr, redirect_stdout
-from specparity import cli
-seconds, argv = float(sys.argv[1]), [*sys.argv[3:], "--out", sys.argv[2]]
-
-def call():
-    sink = io.StringIO()
-    gc.collect()
-    t0 = time.perf_counter()
-    with redirect_stdout(sink), redirect_stderr(sink):
-        code = cli.main(argv)
-    wall = time.perf_counter() - t0
-    if code != 0:
-        print(f"exit {code}: {sink.getvalue()[-2000:]}", file=sys.stderr)
-    return wall, code
-
-call()  # warm-up
-walls, failed = [], 0
-while not walls or sum(walls) + statistics.median(walls) <= seconds:
-    wall, code = call()
-    walls.append(wall)
-    failed += code != 0
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"ops": len(walls), "failed": failed, "op_s": statistics.median(walls), "ru_maxrss_mb": rss}))
-"""
-
-
-STAGE_SUITES = 3  # timed suites per --stages run, after the warm-up
-
-# The --stages loop, run as ``python -c STAGES_LOOP SUITES OUT ARG...`` in a fresh interpreter.
-# The last stdout line is one JSON record per call, the warm-up first.
-STAGES_LOOP = """\
-import io, json, sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from specparity import cli, verify
-suites, out, argv = int(sys.argv[1]), Path(sys.argv[2]), sys.argv[3:]
+seconds, report, argv = float(sys.argv[1]), Path(sys.argv[2]) / "report.json", [*sys.argv[3:], "--out", sys.argv[2]]
 
 def vmhwm_mb():
     try:
@@ -146,22 +111,31 @@ def probed(name, fn, *args, **kwargs):
         hwm[name] = vmhwm_mb()
 
 verify._stage = probed
-calls = []
-for number in range(suites + 1):
+
+def call():
+    report.unlink(missing_ok=True)
     hwm.clear()
     start = vmhwm_mb()
     sink = io.StringIO()
+    gc.collect()
+    t0 = time.perf_counter()
     with redirect_stdout(sink), redirect_stderr(sink):
-        code = cli.main([*argv, "--out", str(out / str(number))])
-    if code not in (0, 1):
+        code = cli.main(argv)
+    record = {"wall": time.perf_counter() - t0, "exit": code, "vmhwm_start_mb": start}
+    if code != 0:
         print(f"exit {code}: {sink.getvalue()[-2000:]}", file=sys.stderr)
-        calls.append({"exit": code})
-        continue
-    report = json.loads((out / str(number) / "report.json").read_text(encoding="utf-8"))
-    seconds = {**report["timings"], **{c["name"]: c["seconds"] for c in report["checks"]}}
-    calls.append({"exit": code, "seconds": {name: seconds[name] for name in hwm}, "vmhwm_start_mb": start,
-                  "vmhwm_mb": dict(hwm)})
-print(json.dumps(calls))
+    if report.exists():
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        seconds = {**doc["timings"], **{c["name"]: c["seconds"] for c in doc["checks"]}}
+        record.update(seconds={name: seconds[name] for name in hwm}, vmhwm_mb=dict(hwm))
+    return record
+
+calls, walls = [call()], []  # the warm-up is not timed
+while not walls or sum(walls) + statistics.median(walls) <= seconds:
+    calls.append(call())
+    walls.append(calls[-1]["wall"])
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"op_s": statistics.median(walls), "ru_maxrss_mb": rss, "calls": calls}))
 """
 
 
@@ -211,7 +185,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
 
 
 def run_argv(tree: Path, argv: list, seconds: float) -> dict:
-    """One ``ARGV_LOOP`` of ``argv`` on the sources of ``tree``: ops, failed, op_s, ru_maxrss_mb."""
+    """One ``ARGV_LOOP`` of ``argv`` on the sources of ``tree``: op_s, ru_maxrss_mb and the calls."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory(prefix="bench-argv-") as work:
@@ -219,18 +193,6 @@ def run_argv(tree: Path, argv: list, seconds: float) -> dict:
         proc = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"the --argv loop in {tree} exited {proc.returncode}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def run_stages(tree: Path, argv: list) -> list:
-    """One ``STAGES_LOOP`` of ``argv`` on the sources of ``tree``: one record per call, the warm-up first."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
-    with tempfile.TemporaryDirectory(prefix="bench-stages-") as work:
-        cmd = [sys.executable, "-c", STAGES_LOOP, str(STAGE_SUITES), str(Path(work) / "out"), *argv]
-        proc = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.PIPE, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"the --stages loop in {tree} exited {proc.returncode}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -245,12 +207,14 @@ def peak_stage(call: dict):
 
 
 def summarize_stages(calls: list) -> dict:
-    """One run's figures: per name the median seconds over the timed calls (the warm-up is
-    ``calls[0]``), VmHWM after it on the warm-up and the last timed call, and where each peaked."""
+    """One run's figures: the timed calls (the warm-up is ``calls[0]``) and those that exited
+    nonzero; per name, from the calls that wrote a report, the median seconds over the timed calls,
+    VmHWM after it on the warm-up and the last timed call, and where each peaked."""
     timed = [c for c in calls[1:] if "seconds" in c]
     names = list(timed[0]["seconds"]) if timed else []
     return {
-        "failed": sum("seconds" not in c for c in calls),
+        "attempted": len(calls) - 1,
+        "failed": sum(c["exit"] != 0 for c in calls[1:]),
         "seconds": {name: quartiles([c["seconds"][name] for c in timed])["median"] for name in names},
         "vmhwm_first_mb": calls[0].get("vmhwm_mb", {}),
         "vmhwm_last_mb": timed[-1]["vmhwm_mb"] if timed else {},
@@ -283,40 +247,6 @@ def _stage_rows(sides: dict) -> list:
 
 def _mb(value) -> str:
     return "-" if value is None else f"{value:.1f}"
-
-
-def measure_stages(argv: list, runs: int, rev: str | None) -> bool:
-    """``runs`` ``STAGES_LOOP`` runs of ``argv`` on this tree, or pairs against ``rev``; True if none failed."""
-    command = "specparity " + shlex.join(argv)
-    print(f"# {OUTSIDE}: {command}, per stage and check, {STAGE_SUITES} timed suites per run", flush=True)
-
-    def run(_, root):
-        summary = summarize_stages(run_stages(root, argv))
-        summary.update(attempted=STAGE_SUITES + 1, metrics={"suite_s": sum(summary["seconds"].values())})
-        return summary
-
-    if rev is None:
-        sides = {"change": [run(None, ROOT) for _ in range(runs)]}
-        for number, r in enumerate(sides["change"], start=1):
-            print(f"run {number} " + _metrics_text(r))
-    else:
-        with checkout(rev) as tree:
-            sides = alternate(tree, list(range(runs)), run)
-    print(f"\n{'name':28s}" + "".join(f" {s + ' s median [q1, q3]':34s} {'VmHWM MB first/last':20s}" for s in sides)
-          + ("  wins  gain>IQR" if rev else ""))
-    for row in _stage_rows(sides):
-        cells = "".join(
-            f" {row[s]['seconds']['median']:.4g} [{row[s]['seconds']['q1']:.4g}, {row[s]['seconds']['q3']:.4g}]".ljust(35)
-            + f" {_mb(row[s]['vmhwm_first_mb'])}/{_mb(row[s]['vmhwm_last_mb'])}".ljust(21)
-            for s in sides
-        )
-        pairs = row.get("pairs")
-        tail = f"  {pairs['wins']}/{pairs['pairs']:<3d} {'yes' if pairs['gain_exceeds_parent_iqr'] else 'no'}" if pairs else ""
-        print(f"{row['name']:28s}{cells}{tail}".rstrip())
-    for side, side_runs in sides.items():
-        peaks = [(r["peak_first"], r["peak_last"]) for r in side_runs]
-        print(f"{side}: peak reached after (first call, last call), per run: {peaks}")
-    return not any(r["failed"] for side in sides.values() for r in side)
 
 
 def source_digest(files: dict) -> str:
@@ -467,8 +397,7 @@ def measure_argv(argv: list, runs: int, seconds: float, rev: str | None) -> bool
 
     def run(_, root):
         result = run_argv(root, argv, seconds)
-        return {"failed": result["failed"], "attempted": result["ops"],
-                "metrics": {m["name"]: result[m["name"]] for m in ARGV_METRICS}}
+        return {**summarize_stages(result["calls"]), "metrics": {m["name"]: result[m["name"]] for m in ARGV_METRICS}}
 
     print(f"# {OUTSIDE}: {command}", flush=True)
     if rev is None:
@@ -480,6 +409,21 @@ def measure_argv(argv: list, runs: int, seconds: float, rev: str | None) -> bool
             sides = alternate(tree, list(range(runs)), run)
         _table(f"{command} ({OUTSIDE}): {rev} (parent) against this tree (change), {runs} pairs",
                sides, list(ARGV_METRICS), False)
+    if all(r["seconds"] for side in sides.values() for r in side):  # every run read a verify report
+        print(f"\n{'name':28s}" + "".join(f" {s + ' s median [q1, q3]':34s} {'VmHWM MB first/last':20s}" for s in sides)
+              + ("  wins  gain>IQR" if rev else ""))
+        for row in _stage_rows(sides):
+            cells = "".join(
+                f" {q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]".ljust(35)
+                + f" {_mb(row[s]['vmhwm_first_mb'])}/{_mb(row[s]['vmhwm_last_mb'])}".ljust(21)
+                for s in sides for q in [row[s]["seconds"]]
+            )
+            pairs = row.get("pairs")
+            tail = f"  {pairs['wins']}/{pairs['pairs']:<3d} {'yes' if pairs['gain_exceeds_parent_iqr'] else 'no'}" if pairs else ""
+            print(f"{row['name']:28s}{cells}{tail}".rstrip())
+        for side, side_runs in sides.items():
+            peaks = [(r["peak_first"], r["peak_last"]) for r in side_runs]
+            print(f"{side}: peak reached after (first call, last call), per run: {peaks}")
     return not any(r["failed"] for side in sides.values() for r in side)
 
 
@@ -488,34 +432,25 @@ def main(argv=None) -> int:
     parser.add_argument("--label", help="write BENCH_<label>.json")
     parser.add_argument("--against", metavar="REV", help="compare this tree with REV in alternating pairs")
     parser.add_argument("--argv", metavar='"ARGS"', help=f"time one specparity command line ({OUTSIDE})")
-    parser.add_argument("--stages", metavar='"ARGS"', help=f"time each stage of one verify command line ({OUTSIDE})")
     parser.add_argument("--workload", help="one workload of BENCHMARK.json (required with --against)")
     parser.add_argument("--seeds", help="a..b: the seeds, one run (or one pair) each; not with --argv")
-    parser.add_argument("--runs", type=int, help="with --argv or --stages: the number of runs (or pairs), default 1")
+    parser.add_argument("--runs", type=int, help="with --argv: the number of runs (or pairs), default 1")
     parser.add_argument("--seconds", type=float, help="with --argv: the length of each loop, default run_seconds")
     args = parser.parse_args(argv)
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
-    if args.stages is not None:
-        if args.argv is not None or args.label is not None or args.workload is not None or args.seeds is not None \
-                or args.seconds is not None:
-            parser.error("--stages takes --against and --runs only")
-        runs = 1 if args.runs is None else args.runs
-        if runs < 1:
-            parser.error("--runs must be at least 1")
-        return 0 if measure_stages(shlex.split(args.stages), runs, args.against) else 1
     if args.argv is not None:
         if args.label is not None or args.workload is not None or args.seeds is not None:
             parser.error("--argv takes --against, --runs and --seconds only")
         runs = 1 if args.runs is None else args.runs
         seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-        if runs < 1 or not seconds >= 0:
-            parser.error("--runs must be at least 1 and --seconds not negative")
+        if runs < 1 or not 0 <= seconds < math.inf:
+            parser.error("--runs must be at least 1 and --seconds finite and not negative")
         return 0 if measure_argv(shlex.split(args.argv), runs, seconds, args.against) else 1
     if args.runs is not None or args.seconds is not None:
-        parser.error("--runs and --seconds go with --argv (--runs also with --stages)")
+        parser.error("--runs and --seconds go with --argv")
     if (args.label is None) == (args.against is None):
-        parser.error("give one of --label, --against, --argv and --stages")
+        parser.error("give one of --label, --against and --argv")
     if args.seeds is None:
         parser.error(f"--{'label' if args.label is not None else 'against'} needs --seeds")
     names = [w["name"] for w in spec["workloads"]]
