@@ -126,8 +126,8 @@ def call():
         print(f"exit {code}: {sink.getvalue()[-2000:]}", file=sys.stderr)
     if report.exists():
         doc = json.loads(report.read_text(encoding="utf-8"))
-        seconds = {**doc["timings"], **{c["name"]: c["seconds"] for c in doc["checks"]}}
-        record.update(seconds={name: seconds[name] for name in hwm}, vmhwm_mb=dict(hwm))
+        figures = {**doc["timings"], **{c["name"]: c["seconds"] for c in doc["checks"]}}
+        record.update(seconds={name: figures[name] for name in hwm}, vmhwm_mb=dict(hwm))
     return record
 
 calls, walls = [call()], []  # the warm-up is not timed
