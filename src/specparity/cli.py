@@ -48,7 +48,8 @@ class ExperimentConfig:
     kernels: tuple
 
 
-def _parse_number_list(text, kind, label: str) -> list:
+def _parse_list(text, kind, label: str) -> list:
+    """The entries of a comma-separated flag, each read by ``kind``; an empty entry is refused."""
     tokens = str(text).split(",")
     if not all(tok.strip() for tok in tokens):
         raise ConfigError(f"{label} has an empty entry in {text!r}")
@@ -124,12 +125,12 @@ def _flags_as_config(args: argparse.Namespace) -> dict:
     # sweep --jobs is validated and has no effect: the sweep runs in one thread
     if flag("jobs") is not None and args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    potential = {"poly": _parse_number_list(args.poly, float, "--poly")} if args.poly is not None else None
+    potential = {"poly": _parse_list(args.poly, float, "--poly")} if args.poly is not None else None
     if args.potential is not None:
         potential = {"named": args.potential}
-    sweep = {"n_values": _parse_number_list(args.sweep_n, int, "--sweep-n")} if flag("sweep_n") is not None else None
+    sweep = {"n_values": _parse_list(args.sweep_n, int, "--sweep-n")} if flag("sweep_n") is not None else None
     if flag("sweep_h") is not None:
-        sweep = {"h_values": _parse_number_list(args.sweep_h, float, "--sweep-h")}
+        sweep = {"h_values": _parse_list(args.sweep_h, float, "--sweep-h")}
     truncate = flag("truncate")
     with suppress(TypeError, ValueError):  # an int where the text parses as one
         truncate = int(truncate)
@@ -147,7 +148,7 @@ def _flags_as_config(args: argparse.Namespace) -> dict:
         "grid": {"x_min": args.xmin, "x_max": args.xmax, "n": flag("n")},
         "suite": {"omega_branch": flag("omega_branch"), "truncate": truncate, "tolerances": tolerances},
         "sweep": sweep,
-        "kernels": [tok for tok in args.kernels.split(",") if tok.strip()] if flag("kernels") is not None else None,
+        "kernels": _parse_list(args.kernels, str, "--kernels") if flag("kernels") is not None else None,
         "save_modes": flag("save_modes") or None,
         "out": args.out,
     }

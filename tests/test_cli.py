@@ -566,6 +566,8 @@ def test_input_errors_exit_2_before_the_output_directory_is_made(tmp_path, capsy
     (["solve", "--poly=1,,0,1", "--xmin=-3", "--xmax=3", "--n", 9], "--poly"),  # not 1 + x^2
     (["sweep", "--potential", "harmonic", "--xmin=-8", "--xmax=8", "--sweep-n", "49,,99,199"], "--sweep-n"),
     (["sweep", "--potential", "harmonic", "--xmin=-8", "--xmax=8", "--sweep-h", "0.1,0.05,"], "--sweep-h"),
+    # the same parser reads the one list of names
+    (["export-kernel", "--potential", "harmonic", "--xmin=-8", "--xmax=8", "--n", 9, "--kernels", "P,,Q"], "--kernels"),
 ])
 def test_a_number_list_with_an_empty_entry_exits_2_and_names_its_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"

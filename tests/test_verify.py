@@ -46,6 +46,15 @@ def test_hermiticity_gap_of_hermitian_kernels_is_zero(qc_199):
     ident = sp.OperatorKernel(grid=qc_199.grid, action=np.eye(199))
     assert sp.spectral_hermiticity_gap(ident) == 0.0
     assert sp.spectral_hermiticity_gap(sp.build_parity(qc_199)) <= 1e-12
+    # one entry of a Hermitian A moved by an ulp or two: the embedding's
+    # products are rounding noise, on which Lanczos would not converge
+    rng = np.random.default_rng(23)
+    b = rng.standard_normal((300, 300))
+    c = b + 1j * rng.standard_normal((300, 300))
+    for a in (b + b.T, c + c.conj().T):
+        a[7, 3] *= 1 + 2.0**-51
+        assert 0.0 < np.abs(a - a.conj().T).max() < 1e-14
+        assert sp.spectral_hermiticity_gap(sp.OperatorKernel(grid=sp.make_grid(-1, 1, 300), action=a)) == 0.0
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -94,26 +103,33 @@ def test_hermiticity_gap_whose_largest_eigenvalue_is_at_the_negative_end():
     dense = np.linalg.eigvalsh((k.action - k.action.conj().T) / 1j)
     assert dense[0] == pytest.approx(-1.0, abs=1e-12) and dense[-1] < 0.995
     assert sp.spectral_hermiticity_gap(k) == pytest.approx(-dense[0], rel=1e-12)
+    # clusters at -1 and +1, each rounding-wide, and zeros: the shape of
+    # Q - Q^dagger, where the Lanczos vectors lose their orthogonality
+    spread = 1e-13 * np.linspace(0.0, 1.0, 20)
+    k = _anti_hermitian(np.concatenate([-1.0 - spread, 1.0 + spread / 2, np.zeros(20)]), 41)
+    dense = np.linalg.eigvalsh((k.action - k.action.conj().T) / 1j)
+    assert -dense[0] > dense[-1] > 1.0
+    assert sp.spectral_hermiticity_gap(k) == pytest.approx(-dense[0], rel=1e-12)
 
 
 # eigenvalues -1 and 0.9 apart from 58 in [-0.5, 0.5]: both ends converge in
-# a few dozen steps, more than a basis of 8 holds
-RESTART_SPECTRUM = np.concatenate([[-1.0, 0.9], np.linspace(-0.5, 0.5, 58)])
+# a few dozen steps
+OUTLIER_SPECTRUM = np.concatenate([[-1.0, 0.9], np.linspace(-0.5, 0.5, 58)])
 
 
-def test_lanczos_restarts_when_its_basis_is_full(monkeypatch):
-    k = _anti_hermitian(RESTART_SPECTRUM, 37)
-    products = _lanczos_counted(monkeypatch, _LANCZOS_CAPACITY=8, _LANCZOS_CHUNK=4)
+def test_lanczos_converges_at_both_outlying_ends(monkeypatch):
+    k = _anti_hermitian(OUTLIER_SPECTRUM, 37)
+    products = _lanczos_counted(monkeypatch)
     assert sp.spectral_hermiticity_gap(k) == pytest.approx(1.0, rel=1e-12)
-    assert len(products) > 8  # so the run restarted
+    assert len(products) > 8  # more than the cap the next test sets
 
 
 def test_lanczos_that_does_not_converge_raises(monkeypatch):
-    k = _anti_hermitian(RESTART_SPECTRUM, 37)
-    products = _lanczos_counted(monkeypatch, _LANCZOS_CAPACITY=8, _LANCZOS_CHUNK=4, _LANCZOS_RESTARTS=2)
-    with pytest.raises(sp.EigensolverError, match="did not converge in 2 restarts of 8 vectors"):
+    k = _anti_hermitian(OUTLIER_SPECTRUM, 37)
+    products = _lanczos_counted(monkeypatch, _LANCZOS_STEPS=8)
+    with pytest.raises(sp.EigensolverError, match="did not converge in 8 steps"):
         sp.spectral_hermiticity_gap(k)
-    assert len(products) == 8 + 2 * 6  # each restart keeps two Ritz vectors and the next Lanczos vector
+    assert len(products) == 8
 
 
 def test_lanczos_refuses_a_non_finite_product():
